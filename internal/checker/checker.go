@@ -223,6 +223,16 @@ type System interface {
 	// Expand returns the successors of s; an empty slice ends the path.
 	Expand(s State) []Transition
 	// Inspect evaluates state properties (safety invariants) on s.
+	//
+	// The engine calls Inspect exactly once per stored state — the
+	// initial state and each successor the visited store admits as new
+	// — never on a duplicate arrival. Inspect must therefore be a pure
+	// function of the state's store identity: its raw encoding, or its
+	// canonical encoding under Options.Symmetry (every state of an
+	// orbit must yield the same violations). Properties that depend on
+	// the transition taken, rather than the state reached, belong in
+	// Transition.Violations, which the engine records on every
+	// arrival.
 	Inspect(s State) []Violation
 }
 
@@ -234,7 +244,11 @@ const (
 	// Exhaustive stores a 64-bit hash per visited state (hash-compact).
 	Exhaustive StoreKind = iota
 	// Bitstate stores k bits per state in a fixed bit array (Spin's
-	// BITSTATE / supertrace mode).
+	// BITSTATE / supertrace mode). A false-positive match treats an
+	// unseen state as visited: the engine then skips both its
+	// successors and its invariants (System.Inspect runs only on
+	// stored states), so a pruned state's own violations go unreported
+	// as well as those behind it.
 	Bitstate
 	// Tiered is the out-of-core exhaustive store: a hot in-process
 	// sharded tier bounded by Options.MemBudget, a file-backed bitstate

@@ -101,7 +101,7 @@ type engine struct {
 	faultTrs    atomic.Int64
 
 	mu       sync.Mutex // guards violations + distinct
-	distinct map[string]bool
+	distinct map[Violation]bool
 	reserved int // accepted violations (found lags while trails materialize)
 	found    []Found
 }
@@ -155,7 +155,7 @@ func newEngine(sys System, opts Options) *engine {
 			b := make([]byte, 0, 512)
 			return &b
 		}},
-		distinct: map[string]bool{},
+		distinct: map[Violation]bool{},
 	}
 	e.tiered, _ = e.st.(*tieredStore)
 	// Checkpointing is DFS-only (the stack-invariant rebuild is its
@@ -247,18 +247,29 @@ func (e *engine) record(v Violation, trail []TrailStep, depth int) bool {
 	return true
 }
 
+// recordAll records each of vs with the sequential DFS's trail,
+// reporting whether a recorded violation hit a search limit (the
+// caller marks the result truncated and stops).
+func (e *engine) recordAll(vs []Violation, trail []TrailStep, depth int) bool {
+	for _, v := range vs {
+		if e.record(v, trail, depth) && e.limitHit() {
+			return true
+		}
+	}
+	return false
+}
+
 // reserve is phase 1 of recording: dedup + reserve a slot against the
 // MaxViolations cap, under the lock. A true return obliges the caller
 // to commit the violation.
 func (e *engine) reserve(v Violation) bool {
-	key := v.Property + "\x00" + v.Detail
 	e.mu.Lock()
-	if e.distinct[key] ||
+	if e.distinct[v] ||
 		(e.opts.MaxViolations > 0 && e.reserved >= e.opts.MaxViolations) {
 		e.mu.Unlock()
 		return false
 	}
-	e.distinct[key] = true
+	e.distinct[v] = true
 	e.reserved++
 	e.mu.Unlock()
 	e.violCount.Add(1)
@@ -426,9 +437,8 @@ func (e *engine) expand(state State, buf []byte, count bool) ([]Transition, []by
 // sharing, no padding needed) and folds it into the engine totals at
 // termination plus periodically, so the per-state counter cost on the
 // frontier hot paths is two local increments instead of contended
-// read-modify-writes. With MaxStates set, explored folds on every bump
-// so limitHit sees the exact global count — truncation semantics are
-// unchanged from the per-state atomics.
+// read-modify-writes. With MaxStates set, explored bypasses the cell:
+// every slot is claimed on the shared counter (see reserveExplored).
 type statCell struct {
 	explored int64
 	matched  int64
@@ -438,11 +448,29 @@ type statCell struct {
 // locally on unbounded searches before folding into the shared counter.
 const statFlushEvery = 32
 
-func (sc *statCell) bumpExplored(e *engine) {
-	sc.explored++
-	if e.opts.MaxStates > 0 || sc.explored >= statFlushEvery {
-		e.explored.Add(sc.explored)
-		sc.explored = 0
+// reserveExplored claims the explored slot of a newly stored state. With
+// MaxStates set the claim is a CAS against the cap, so concurrent
+// workers cannot overshoot it and StatesExplored ends at exactly
+// min(MaxStates, reachable) for every strategy and worker count. A
+// false return means the cap is spent: the state stays unexplored.
+func (sc *statCell) reserveExplored(e *engine) bool {
+	if e.opts.MaxStates <= 0 {
+		sc.explored++
+		if sc.explored >= statFlushEvery {
+			e.explored.Add(sc.explored)
+			sc.explored = 0
+		}
+		return true
+	}
+	limit := int64(e.opts.MaxStates)
+	for {
+		cur := e.explored.Load()
+		if cur >= limit {
+			return false
+		}
+		if e.explored.CompareAndSwap(cur, cur+1) {
+			return true
+		}
 	}
 }
 

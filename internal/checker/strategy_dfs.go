@@ -92,22 +92,10 @@ func (s sequentialDFS) search(e *engine) {
 		depth := len(stack)
 		trail = append(trail, TrailStep{Label: tr.Label, Steps: tr.Steps, From: top.state, Key: tr.Key})
 		e.noteDepth(depth)
-		hit := false
-		for _, v := range tr.Violations {
-			if e.record(v, trail, depth) && e.limitHit() {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			for _, v := range e.sys.Inspect(tr.Next) {
-				if e.record(v, trail, depth) && e.limitHit() {
-					hit = true
-					break
-				}
-			}
-		}
-		if hit {
+		// Transition-scoped violations belong to this arrival, so they
+		// are recorded before dedup; the state's invariants are checked
+		// once, below, when the state is first stored.
+		if e.recordAll(tr.Violations, trail, depth) {
 			e.truncated.Store(true)
 			break
 		}
@@ -130,6 +118,12 @@ func (s sequentialDFS) search(e *engine) {
 		}
 		e.logVisit(d)
 		e.explored.Add(1)
+		// A state's first arrival is the one that stores it, so the
+		// trail here is the first-arrival path.
+		if e.recordAll(e.sys.Inspect(tr.Next), trail, depth) {
+			e.truncated.Store(true)
+			break
+		}
 		var succs []Transition
 		succs, buf = e.expand(tr.Next, buf, true)
 		stack = append(stack, dfsFrame{state: tr.Next, succs: succs})
@@ -224,7 +218,7 @@ func resumeDFS(e *engine, buf []byte) ([]dfsFrame, []TrailStep, []byte) {
 			f.Trail = append(f.Trail, TrailStep{Label: st.Label, Steps: steps})
 		}
 		e.found = append(e.found, f)
-		e.distinct[v.Property+"\x00"+v.Detail] = true
+		e.distinct[f.Violation] = true
 	}
 	e.reserved = len(e.found)
 	e.violCount.Store(int64(len(e.found)))

@@ -375,11 +375,12 @@ func (s *parallelBFS) searchSingle(e *engine, parents *parentStore, spill func(d
 }
 
 // expandShared is the expansion path common to the frontier strategies
-// (level-synchronous and work-stealing): it records transition and
-// state violations for every successor — reconstructing the parent
-// trail prefix lazily, only when a violation is actually recorded —
-// deduplicates successors through the visited store, links new states
-// to their parent, and hands each newly stored successor to enqueue.
+// (level-synchronous and work-stealing): it records every successor's
+// transition violations, deduplicates successors through the visited
+// store, and for each newly stored successor claims its explored slot,
+// checks its state invariants, links it to its parent, and hands it to
+// enqueue. The parent trail prefix is reconstructed lazily, only when a
+// violation is actually recorded.
 // Expansion routes through engine.expand, so partial-order reduction
 // applies to the frontier strategies exactly as it does to DFS.
 //
@@ -416,6 +417,17 @@ func expandShared(e *engine, parents *parentStore, state State, h1 uint64, depth
 		e.commit(v, trail, depth)
 		return true
 	}
+	// recordAll records vs against tr, reporting (with truncated set)
+	// whether a recorded violation hit a search limit.
+	recordAll := func(vs []Violation, tr *Transition) bool {
+		for _, v := range vs {
+			if record(v, tr) && e.limitHit() {
+				e.truncated.Store(true)
+				return true
+			}
+		}
+		return false
+	}
 
 	var trs []Transition
 	trs, buf = e.expand(state, buf, count)
@@ -427,17 +439,10 @@ func expandShared(e *engine, parents *parentStore, state State, h1 uint64, depth
 	}
 	for i := range trs {
 		tr := &trs[i]
-		for _, v := range tr.Violations {
-			if record(v, tr) && e.limitHit() {
-				e.truncated.Store(true)
-				return buf, false
-			}
-		}
-		for _, v := range e.sys.Inspect(tr.Next) {
-			if record(v, tr) && e.limitHit() {
-				e.truncated.Store(true)
-				return buf, false
-			}
+		// Transition-scoped violations belong to this arrival and are
+		// recorded before dedup; state invariants wait for the store.
+		if recordAll(tr.Violations, tr) {
+			return buf, false
 		}
 
 		var d digest
@@ -457,8 +462,24 @@ func expandShared(e *engine, parents *parentStore, state State, h1 uint64, depth
 			}
 			continue
 		}
+		if !count {
+			// A depth-relaxation re-expansion stored this state while
+			// the parent's counted expansion (already claimed, possibly
+			// running on another worker) has yet to reach it; that
+			// expansion will meet the state as a duplicate, so uncount
+			// the match here to keep StatesMatched equal to DFS's.
+			sc.matched--
+		}
+		// Newly stored: claim its explored slot, then check its
+		// invariants — once per stored state, never per arrival.
+		if !sc.reserveExplored(e) {
+			e.truncated.Store(true)
+			return buf, false
+		}
+		if recordAll(e.sys.Inspect(tr.Next), tr) {
+			return buf, false
+		}
 		parents.put(d.h1, parentEdge{parent: h1, label: tr.Label, steps: tr.Steps, key: tr.Key, depth: int32(depth)})
-		sc.bumpExplored(e)
 		enqueue(tr.Next, d)
 		if e.limitHit() {
 			e.truncated.Store(true)

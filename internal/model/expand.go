@@ -109,7 +109,17 @@ func (a sysAdapter) RecycleTransitions(trs []checker.Transition) {
 func (a sysAdapter) CertifiesProgress() bool { return true }
 
 // Inspect evaluates the compiled safe-physical-state invariants on a
-// state (§8 "Safety Properties").
+// state (§8 "Safety Properties"). It meets the checker's contract of a
+// pure function of the state's store identity: a violation is the
+// invariant's static ID and description, and invariants read only the
+// device attributes and mode through View, both of which the state
+// encoding carries. Under symmetry every orbit is built from devices
+// with identical association roles and every invariant quantifies over
+// unions of orbits, so all states of an orbit report the same
+// violations. The checker therefore calls it once per stored state;
+// transition-scoped findings (conflicting and repeated commands,
+// leakage, robustness, InspectCascade hits) travel on
+// Transition.Violations instead.
 func (m *Model) Inspect(s *State) []checker.Violation {
 	if len(m.Opts.Invariants) == 0 {
 		return nil
