@@ -319,10 +319,10 @@ func BenchmarkAblationBitstate(b *testing.B) {
 		results[true].StatesExplored, results[true].StatesStored, results[true].StatesMatched)
 }
 
-// BenchmarkParallelCheck measures the parallel frontier strategy's
-// scaling on the largest market group: the same bounded exploration
-// with 1 worker versus GOMAXPROCS workers (plus the sequential DFS as
-// the single-core baseline). The workload is capped by MaxStates so
+// BenchmarkParallelCheck measures the work-stealing strategy's scaling
+// on the largest market group: the same bounded exploration with 1
+// worker versus GOMAXPROCS workers (plus the sequential DFS as the
+// single-core baseline). The workload is capped by MaxStates so
 // every variant performs the same amount of expansion work.
 func BenchmarkParallelCheck(b *testing.B) {
 	m, copts, _, err := experiments.ParallelCheckWorkload()
@@ -344,15 +344,13 @@ func BenchmarkParallelCheck(b *testing.B) {
 		}
 	}
 	b.Run("dfs", run(checker.StrategyDFS, 0))
-	b.Run("workers=1", run(checker.StrategyParallel, 1))
 	b.Run("steal=1", run(checker.StrategySteal, 1))
 	if n := runtime.GOMAXPROCS(0); n > 1 {
-		b.Run(fmt.Sprintf("workers=%d", n), run(checker.StrategyParallel, 0))
 		b.Run(fmt.Sprintf("steal=%d", n), run(checker.StrategySteal, 0))
 	}
 }
 
-// BenchmarkStealEqualWork compares the three strategies on a fully
+// BenchmarkStealEqualWork compares the two strategies on a fully
 // explored market group — no state cap, so every strategy performs
 // byte-for-byte identical expansion work and the states/s numbers are
 // directly comparable (the capped BenchmarkParallelCheck workload
@@ -387,11 +385,9 @@ func BenchmarkStealEqualWork(b *testing.B) {
 	}
 	b.Run("dfs", run(checker.StrategyDFS, 0))
 	for _, w := range []int{1, 2} {
-		b.Run(fmt.Sprintf("parallel=%d", w), run(checker.StrategyParallel, w))
 		b.Run(fmt.Sprintf("steal=%d", w), run(checker.StrategySteal, w))
 	}
 	if n := runtime.GOMAXPROCS(0); n > 2 {
-		b.Run(fmt.Sprintf("parallel=%d", n), run(checker.StrategyParallel, n))
 		b.Run(fmt.Sprintf("steal=%d", n), run(checker.StrategySteal, n))
 	}
 }

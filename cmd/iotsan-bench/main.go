@@ -59,8 +59,6 @@ func realMain() int {
 	experiments.SetGroupParallel(engine.GroupParallel)
 	experiments.SetPOR(engine.POR)
 	experiments.SetSymmetry(engine.Symmetry)
-	experiments.SetIncremental(engine.Incremental)
-	experiments.SetEpochReclaim(engine.EpochReclaim)
 	experiments.SetFailures(engine.Failures)
 	experiments.SetFaults(engine.Faults, engine.MaxFaults)
 
@@ -255,13 +253,14 @@ type perfRun struct {
 }
 
 // parityRun is one per-worker-parity measurement on the shared perf
-// workload: sequential DFS versus one parallel strategy at workers=1 on
-// equal work, with frontier recycling (epoch reclamation) on and off.
-// Each repetition runs the three searches back to back so all sides
-// sample the same machine conditions, and each side keeps its fastest
-// run. ParityVsDFS is the recycling-on throughput as a fraction of the
-// paired DFS throughput — 1.0 means the strategy's fixed per-state
-// overhead has vanished and speedup comes purely from added workers.
+// workload: sequential DFS versus the work-stealing strategy at
+// workers=1 on equal work, with frontier recycling (epoch reclamation)
+// on and off. Each repetition runs the three searches back to back so
+// all sides sample the same machine conditions, and each side keeps its
+// fastest run. ParityVsDFS is the recycling-on throughput as a fraction
+// of the paired DFS throughput — 1.0 means the strategy's fixed
+// per-state overhead has vanished and speedup comes purely from added
+// workers.
 type parityRun struct {
 	Strategy              string  `json:"strategy"`
 	Workers               int     `json:"workers"`
@@ -409,15 +408,11 @@ func runPerf(writeJSON bool) error {
 	}
 	variants := []variant{
 		{"dfs", checker.StrategyDFS, 0},
-		{"parallel", checker.StrategyParallel, 1},
 		{"steal", checker.StrategySteal, 1},
-		{"parallel", checker.StrategyParallel, 2},
 		{"steal", checker.StrategySteal, 2},
 	}
 	if n := runtime.GOMAXPROCS(0); n > 2 {
-		variants = append(variants,
-			variant{"parallel", checker.StrategyParallel, n},
-			variant{"steal", checker.StrategySteal, n})
+		variants = append(variants, variant{"steal", checker.StrategySteal, n})
 	}
 	for _, v := range variants {
 		o := copts
@@ -470,11 +465,10 @@ func runPerf(writeJSON bool) error {
 }
 
 // runParityPerf measures per-worker parity on the shared perf
-// workload: for each parallel strategy at workers=1, paired best-of-N
+// workload: the work-stealing strategy at workers=1, paired best-of-N
 // against sequential DFS on equal work, with epoch reclamation on and
-// off. DFS is re-measured inside each strategy's pairing (rather than
-// once globally) so every ratio compares runs that interleaved on the
-// same machine conditions.
+// off. Each repetition runs the three searches back to back so the
+// ratio compares runs that interleaved on the same machine conditions.
 func runParityPerf(rec *perfRecord) error {
 	m, copts, desc, err := experiments.ParallelCheckWorkload()
 	if err != nil {
@@ -482,53 +476,51 @@ func runParityPerf(rec *perfRecord) error {
 	}
 	fmt.Printf("\nper-worker parity (%s):\n", desc)
 
-	for _, strat := range []checker.StrategyKind{checker.StrategySteal, checker.StrategyParallel} {
-		base := copts
-		base.Workers = 1
-		var dfsRes, onRes, offRes *checker.Result
-		var secDFS, secOn, secOff float64
-		for i := 0; i < 5; i++ {
-			o := base
-			o.Strategy = checker.StrategyDFS
-			start := time.Now()
-			rd := checker.Run(m.System(), o)
-			sd := time.Since(start).Seconds()
-			o.Strategy = strat
-			start = time.Now()
-			ron := checker.Run(m.System(), o)
-			son := time.Since(start).Seconds()
-			o.NoEpochReclaim = true
-			start = time.Now()
-			roff := checker.Run(m.System(), o)
-			soff := time.Since(start).Seconds()
-			if i == 0 || sd < secDFS {
-				dfsRes, secDFS = rd, sd
-			}
-			if i == 0 || son < secOn {
-				onRes, secOn = ron, son
-			}
-			if i == 0 || soff < secOff {
-				offRes, secOff = roff, soff
-			}
+	base := copts
+	base.Workers = 1
+	var dfsRes, onRes, offRes *checker.Result
+	var secDFS, secOn, secOff float64
+	for i := 0; i < 5; i++ {
+		o := base
+		o.Strategy = checker.StrategyDFS
+		start := time.Now()
+		rd := checker.Run(m.System(), o)
+		sd := time.Since(start).Seconds()
+		o.Strategy = checker.StrategySteal
+		start = time.Now()
+		ron := checker.Run(m.System(), o)
+		son := time.Since(start).Seconds()
+		o.NoEpochReclaim = true
+		start = time.Now()
+		roff := checker.Run(m.System(), o)
+		soff := time.Since(start).Seconds()
+		if i == 0 || sd < secDFS {
+			dfsRes, secDFS = rd, sd
 		}
-		r := parityRun{
-			Strategy:              strat.String(),
-			Workers:               1,
-			DFSStates:             dfsRes.StatesExplored,
-			States:                onRes.StatesExplored,
-			StatesNoRecycle:       offRes.StatesExplored,
-			DFSStatesPerSec:       float64(dfsRes.StatesExplored) / secDFS,
-			RecycleStatesPerSec:   float64(onRes.StatesExplored) / secOn,
-			NoRecycleStatesPerSec: float64(offRes.StatesExplored) / secOff,
+		if i == 0 || son < secOn {
+			onRes, secOn = ron, son
 		}
-		r.ParityVsDFS = r.RecycleStatesPerSec / r.DFSStatesPerSec
-		rec.ParityRuns = append(rec.ParityRuns, r)
-		fmt.Printf("%-9s workers=1 dfs %9.0f states/s  recycle %9.0f states/s  no-recycle %9.0f states/s  parity=%.2fx\n",
-			r.Strategy, r.DFSStatesPerSec, r.RecycleStatesPerSec, r.NoRecycleStatesPerSec, r.ParityVsDFS)
-		if onRes.StatesExplored != offRes.StatesExplored {
-			fmt.Printf("WARNING: %s: recycling changed the explored state count (%d -> %d) — the equivalence gates forbid this\n",
-				r.Strategy, offRes.StatesExplored, onRes.StatesExplored)
+		if i == 0 || soff < secOff {
+			offRes, secOff = roff, soff
 		}
+	}
+	r := parityRun{
+		Strategy:              checker.StrategySteal.String(),
+		Workers:               1,
+		DFSStates:             dfsRes.StatesExplored,
+		States:                onRes.StatesExplored,
+		StatesNoRecycle:       offRes.StatesExplored,
+		DFSStatesPerSec:       float64(dfsRes.StatesExplored) / secDFS,
+		RecycleStatesPerSec:   float64(onRes.StatesExplored) / secOn,
+		NoRecycleStatesPerSec: float64(offRes.StatesExplored) / secOff,
+	}
+	r.ParityVsDFS = r.RecycleStatesPerSec / r.DFSStatesPerSec
+	rec.ParityRuns = append(rec.ParityRuns, r)
+	fmt.Printf("%-9s workers=1 dfs %9.0f states/s  recycle %9.0f states/s  no-recycle %9.0f states/s  parity=%.2fx\n",
+		r.Strategy, r.DFSStatesPerSec, r.RecycleStatesPerSec, r.NoRecycleStatesPerSec, r.ParityVsDFS)
+	if onRes.StatesExplored != offRes.StatesExplored {
+		return fmt.Errorf("%s: recycling changed the explored state count (%d -> %d); the equivalence gates forbid this",
+			r.Strategy, offRes.StatesExplored, onRes.StatesExplored)
 	}
 	return nil
 }
@@ -596,7 +588,7 @@ func runStorePerf(rec *perfRecord) error {
 			r.Strategy, r.InMemStatesPerSec, r.TieredStatesPerSec, r.TieredVsInMem,
 			r.Spilled, r.PeakResident, r.DiskHits, r.FilterRejects)
 		if r.States != r.StatesTiered {
-			fmt.Printf("WARNING: %s: tiered store changed the explored state count (%d -> %d) — the equivalence gates forbid this\n",
+			return fmt.Errorf("%s: tiered store changed the explored state count (%d -> %d); the equivalence gates forbid this",
 				r.Strategy, r.States, r.StatesTiered)
 		}
 	}
@@ -696,7 +688,7 @@ func runSymmetryPerf(rec *perfRecord) error {
 		fmt.Printf("%-11s states %7d -> %-7d (%.1f%% fold)  %6.3fs -> %6.3fs  violations=%d\n",
 			tag, r.StatesFull, r.StatesSym, r.FoldRatio*100, r.SecondsFull, r.SecondsSym, r.Violations)
 		if r.Violations != r.ViolationsFull {
-			fmt.Printf("WARNING: %s: symmetry changed the violation count (%d -> %d) — the fold is unsound for this workload\n",
+			return fmt.Errorf("%s: symmetry changed the violation count (%d -> %d); the fold is unsound for this workload",
 				tag, r.ViolationsFull, r.Violations)
 		}
 	}
@@ -802,7 +794,7 @@ func runEncodePerf(rec *perfRecord) error {
 		fmt.Printf("%-11s states=%-7d full %9.0f states/s -> inc %9.0f states/s  (%.2fx)\n",
 			tag, r.States, r.FullStatesPerSec, r.IncStatesPerSec, r.Speedup)
 		if !row.sym && fr.StatesExplored != ri.StatesExplored {
-			fmt.Printf("WARNING: %s: incremental digest changed the explored state count (%d -> %d)\n",
+			return fmt.Errorf("%s: incremental digest changed the explored state count (%d -> %d); the equivalence gates forbid this",
 				tag, fr.StatesExplored, ri.StatesExplored)
 		}
 	}

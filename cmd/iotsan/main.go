@@ -31,7 +31,6 @@ func main() {
 		concurrent = flag.Bool("concurrent", false, "use the concurrent design instead of sequential")
 		trails     = flag.Bool("trails", true, "print counter-example trails")
 		maxViol    = flag.Int("max-violations", 0, "stop after this many distinct violations, cancelling sibling group searches (0 = collect all)")
-		interp     = flag.Bool("interp", false, "run handlers under the tree-walking interpreter instead of compiled programs (oracle mode)")
 		engineFl   = config.RegisterEngineFlags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -61,8 +60,7 @@ func main() {
 		Faults: engine.Faults, MaxFaults: engine.MaxFaults,
 		Strategy: engine.Strategy, Workers: engine.Workers,
 		GroupParallel: engine.GroupParallel, MaxViolations: *maxViol,
-		POR: engine.POR, Symmetry: engine.Symmetry, Interpreter: *interp,
-		NoIncremental: !engine.Incremental, NoEpochReclaim: !engine.EpochReclaim,
+		POR: engine.POR, Symmetry: engine.Symmetry,
 		Store: engine.Store, StoreDir: engine.StoreDir, MemBudget: engine.MemBudget,
 		Checkpoint: engine.Checkpoint, Resume: engine.Resume}
 	if *concurrent {

@@ -65,8 +65,8 @@ type Options struct {
 	// Strategy selects the checker search strategy for each
 	// verification run (sequential DFS default).
 	Strategy checker.StrategyKind
-	// Workers is the checker goroutine count for the parallel strategy
-	// (0 = GOMAXPROCS).
+	// Workers is the checker goroutine count for the work-stealing
+	// strategy (0 = GOMAXPROCS).
 	Workers int
 }
 

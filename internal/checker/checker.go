@@ -10,12 +10,18 @@
 //     search, the direct analogue of Spin's sequential verifier. It
 //     threads the counter-example trail through the DFS stack, so trails
 //     follow the depth-first exploration order exactly.
-//   - StrategyParallel is a level-synchronous parallel breadth-first
-//     frontier search in the spirit of Holzmann's multi-core Spin:
-//     worker goroutines claim states from the current frontier, expand
-//     them concurrently, and deduplicate through a lock-striped sharded
-//     visited store. Counter-example trails are reconstructed from
-//     per-state parent links instead of a threaded trail slice.
+//   - StrategySteal is a parallel work-stealing frontier search: each
+//     worker goroutine owns a Chase–Lev deque of newly stored states,
+//     steals from its peers when dry, and deduplicates through a
+//     lock-striped sharded visited store. Counter-example trails are
+//     reconstructed from per-state parent links instead of a threaded
+//     trail slice.
+//
+// Neither strategy guarantees minimal-length counter-examples: a DFS
+// trail is the path its depth-first order happened to take, and a
+// work-stealing trail follows the parent link of whichever path stored
+// each state first. Spin's sequential DFS makes no such guarantee
+// either.
 //
 // Two visited-state stores are provided, mirroring Spin's verification
 // modes: an exhaustive hash-compact store, and BITSTATE supertrace
@@ -36,8 +42,8 @@ import (
 // encoding of itself (its state vector) to a buffer.
 //
 // States handed to the checker must be immutable once returned from
-// System.Initial or a Transition: the parallel strategy encodes and
-// expands states from multiple goroutines without synchronisation.
+// System.Initial or a Transition: the work-stealing strategy encodes
+// and expands states from multiple goroutines without synchronisation.
 type State interface {
 	Encode(buf []byte) []byte
 }
@@ -214,9 +220,9 @@ type ProgressCertifier interface {
 // System is the transition system under verification.
 //
 // Expand and Inspect must be safe for concurrent calls on distinct
-// states: the parallel strategy invokes them from several goroutines at
-// once. Implementations must treat the receiver and the argument state
-// as read-only, cloning into fresh successor states.
+// states: the work-stealing strategy invokes them from several
+// goroutines at once. Implementations must treat the receiver and the
+// argument state as read-only, cloning into fresh successor states.
 type System interface {
 	// Initial returns the initial state.
 	Initial() State
@@ -291,26 +297,17 @@ const (
 	// StrategyDFS is the sequential iterative depth-first search
 	// (default). Trails and exploration order are deterministic.
 	StrategyDFS StrategyKind = iota
-	// StrategyParallel is the parallel breadth-first frontier search:
-	// Options.Workers goroutines expand the frontier concurrently over a
-	// sharded visited store. The distinct-violation set matches
-	// StrategyDFS on a fully explored state space; trails are
-	// reconstructed from parent links and may differ between runs.
-	StrategyParallel
-	// StrategySteal is the work-stealing frontier search: per-worker
-	// Chase–Lev deques (owner LIFO, thieves FIFO) with no per-level
-	// barrier, over the same sharded visited store and parent-link
-	// trails as StrategyParallel. The distinct-violation set and
+	// StrategySteal is the parallel work-stealing frontier search:
+	// Options.Workers goroutines with per-worker Chase–Lev deques (owner
+	// LIFO, thieves FIFO) over a sharded visited store, with trails
+	// reconstructed from parent links. The distinct-violation set and
 	// explored state space match StrategyDFS on a fully explored state
 	// space; exploration order and trails may differ between runs.
 	StrategySteal
 )
 
 func (k StrategyKind) String() string {
-	switch k {
-	case StrategyParallel:
-		return "parallel"
-	case StrategySteal:
+	if k == StrategySteal {
 		return "steal"
 	}
 	return "dfs"
@@ -321,12 +318,10 @@ func ParseStrategy(name string) (StrategyKind, error) {
 	switch name {
 	case "", "dfs", "sequential":
 		return StrategyDFS, nil
-	case "parallel", "bfs", "frontier":
-		return StrategyParallel, nil
 	case "steal", "ws", "work-stealing":
 		return StrategySteal, nil
 	}
-	return StrategyDFS, fmt.Errorf("checker: unknown strategy %q (want dfs, parallel, or steal)", name)
+	return StrategyDFS, fmt.Errorf("checker: unknown strategy %q (want dfs or steal)", name)
 }
 
 // Options configure a verification run.
@@ -334,9 +329,8 @@ type Options struct {
 	Store StoreKind
 	// Strategy selects the search strategy (StrategyDFS default).
 	Strategy StrategyKind
-	// Workers is the number of expansion goroutines for
-	// StrategyParallel and StrategySteal (0 = GOMAXPROCS). Ignored by
-	// StrategyDFS.
+	// Workers is the number of expansion goroutines for StrategySteal
+	// (0 = GOMAXPROCS). Ignored by StrategyDFS.
 	Workers int
 	// Budget, when non-nil, bounds the run's worker goroutines by a
 	// token pool shared with other concurrent verification runs. The
@@ -413,17 +407,17 @@ type Options struct {
 	// one representative, while raw states continue to flow through the
 	// frontier and trails so counter-examples replay concretely. All
 	// strategies share the one expansion/digest path, so the folded
-	// state graph is identical across DFS, parallel, and steal, and the
+	// state graph is identical across DFS and steal, and the
 	// reduction composes with POR (canonical keys also serve the
 	// visited-state proviso).
 	Symmetry bool
-	// NoEpochReclaim disables state recycling on the frontier strategies
-	// (StrategyParallel and StrategySteal). The zero value keeps it ON:
-	// dead duplicate children are recycled where they are produced, and
-	// consumed, fully expanded frontier states are retired through a
-	// per-worker epoch-based reclamation layer (see reclaim.go) before
-	// re-entering the system's free-lists. The flag is an A/B escape
-	// hatch mirroring the -epoch-reclaim CLI default; it does not affect
+	// NoEpochReclaim disables state recycling on StrategySteal. The
+	// zero value keeps it ON: dead duplicate children are recycled
+	// where they are produced, and consumed, fully expanded frontier
+	// states are retired through a per-worker epoch-based reclamation
+	// layer (see reclaim.go) before re-entering the system's
+	// free-lists. The flag is a test oracle for the recycling
+	// equivalence gates, not a tuning knob; it does not affect
 	// the sequential DFS free-lists, which predate it, nor the recycling
 	// of partial-order-pruned successors, which never escape their
 	// expansion on any strategy.
@@ -442,7 +436,9 @@ type TrailStep struct {
 	Key   uint64 // replay handle (lazy trails only)
 }
 
-// Found is a distinct violation with the trail that reaches it.
+// Found is a distinct violation with the trail that reaches it. Depth
+// is len(Trail) on every strategy. The trail is a witness, not a
+// shortest one: no strategy guarantees minimal-length trails.
 type Found struct {
 	Violation
 	Trail []TrailStep
@@ -456,14 +452,12 @@ type Result struct {
 	StatesMatched  int // successors pruned because already visited
 	StatesStored   int // entries in the visited store
 	// MaxDepthReached is strategy-flavoured: DFS reports the deepest
-	// stack depth of its (deterministic) exploration order and the
-	// level-synchronous strategy the deepest level that generated
-	// successors, both counting edges into already-visited states;
-	// StrategySteal reports the deepest stored state's minimal depth —
-	// the order-independent fixpoint of its depth relaxation — so the
-	// value is deterministic across runs and worker counts but can sit
-	// one below the other strategies' on graphs whose deepest edges
-	// only re-enter visited states.
+	// stack depth of its (deterministic) exploration order, counting
+	// edges into already-visited states; StrategySteal reports the
+	// deepest stored state's minimal depth — the order-independent
+	// fixpoint of its depth relaxation — so the value is deterministic
+	// across runs and worker counts but can sit below DFS's, whose
+	// exploration order may first reach a state along a longer path.
 	MaxDepthReached int
 	Truncated       bool // a limit stopped the search early
 	Elapsed         time.Duration
@@ -535,12 +529,9 @@ func Run(sys System, opts Options) *Result {
 	}
 	e := newEngine(sys, opts)
 	var s strategy
-	switch opts.Strategy {
-	case StrategyParallel:
-		s = &parallelBFS{workers: opts.Workers}
-	case StrategySteal:
+	if opts.Strategy == StrategySteal {
 		s = &workSteal{workers: opts.Workers}
-	default:
+	} else {
 		s = &sequentialDFS{}
 	}
 	s.search(e)

@@ -156,3 +156,47 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// TestParseStrategy: the CLI names map to the two strategies, and the
+// removed level-synchronous names are rejected with an error naming
+// the valid choices.
+func TestParseStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		want    StrategyKind
+		wantErr bool
+	}{
+		{"", StrategyDFS, false},
+		{"dfs", StrategyDFS, false},
+		{"sequential", StrategyDFS, false},
+		{"steal", StrategySteal, false},
+		{"ws", StrategySteal, false},
+		{"work-stealing", StrategySteal, false},
+		{"parallel", 0, true},
+		{"bfs", 0, true},
+		{"frontier", 0, true},
+		{"DFS", 0, true},
+	} {
+		got, err := ParseStrategy(tc.name)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("ParseStrategy(%q) = %v, want an error", tc.name, got)
+				continue
+			}
+			for _, valid := range []string{"dfs", "steal"} {
+				if !contains(err.Error(), valid) {
+					t.Errorf("ParseStrategy(%q) error %q does not name %q", tc.name, err, valid)
+				}
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, k := range []StrategyKind{StrategyDFS, StrategySteal} {
+		if back, err := ParseStrategy(k.String()); err != nil || back != k {
+			t.Errorf("ParseStrategy(%v.String()) = %v, %v", k, back, err)
+		}
+	}
+}

@@ -107,7 +107,7 @@ func distinctViolations(res *checker.Result) []string {
 }
 
 // TestParallelDeterminismOnCorpus: with Workers = GOMAXPROCS the
-// parallel strategy reports the identical distinct-violation set (and
+// work-stealing strategy reports the identical distinct-violation set (and
 // state count) as sequential DFS on three corpus systems.
 func TestParallelDeterminismOnCorpus(t *testing.T) {
 	const maxEvents = 2
@@ -130,7 +130,7 @@ func TestParallelDeterminismOnCorpus(t *testing.T) {
 		opts := checker.Options{MaxDepth: maxEvents + 64}
 		seq := checker.Run(m.System(), opts)
 
-		opts.Strategy = checker.StrategyParallel
+		opts.Strategy = checker.StrategySteal
 		opts.Workers = runtime.GOMAXPROCS(0)
 		par := checker.Run(m.System(), opts)
 
@@ -139,17 +139,17 @@ func TestParallelDeterminismOnCorpus(t *testing.T) {
 		}
 		got, want := distinctViolations(par), distinctViolations(seq)
 		if len(got) != len(want) {
-			t.Errorf("%s: parallel found %d distinct violations, dfs %d\nparallel: %v\ndfs: %v",
+			t.Errorf("%s: steal found %d distinct violations, dfs %d\nsteal: %v\ndfs: %v",
 				name, len(got), len(want), got, want)
 			continue
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Errorf("%s: violation sets differ at %d: parallel %q vs dfs %q", name, i, got[i], want[i])
+				t.Errorf("%s: violation sets differ at %d: steal %q vs dfs %q", name, i, got[i], want[i])
 			}
 		}
 		if par.StatesExplored != seq.StatesExplored {
-			t.Errorf("%s: parallel explored %d states, dfs %d", name, par.StatesExplored, seq.StatesExplored)
+			t.Errorf("%s: steal explored %d states, dfs %d", name, par.StatesExplored, seq.StatesExplored)
 		}
 		if len(want) > 0 {
 			sawViolation = true

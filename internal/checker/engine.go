@@ -14,7 +14,8 @@ type strategy interface {
 
 // engine holds the state shared by all strategies of one verification
 // run. Counters are atomic and violation recording is mutex-guarded so
-// the same engine serves both the sequential and the parallel strategy.
+// the same engine serves both the sequential and the work-stealing
+// strategy.
 type engine struct {
 	sys   System
 	opts  Options
@@ -54,17 +55,11 @@ type engine struct {
 	// fully consumed succs slice on pop.
 	trec TransitionRecycler
 
-	// frontierRecycle is set when the frontier strategies (parallel,
-	// steal) may recycle dead states and consumed successor slices:
-	// rec non-nil and Options.NoEpochReclaim unset. The sequential DFS
-	// free-lists are independent of it.
+	// frontierRecycle is set when the work-stealing strategy may
+	// recycle dead states and consumed successor slices: rec non-nil
+	// and Options.NoEpochReclaim unset. The sequential DFS free-lists
+	// are independent of it.
 	frontierRecycle bool
-
-	// depthByScan is set by the work-stealing strategy, whose
-	// MaxDepthReached comes from the final parent-table depth scan (the
-	// order-independent fixpoint); per-expansion noteDepth calls would
-	// be overwritten by it, so expandShared skips them.
-	depthByScan bool
 
 	// needH2 is set when the store consumes the second hash — bitstate
 	// derives probe positions from it, the tiered store records it on
@@ -177,7 +172,7 @@ func newEngine(sys System, opts Options) *engine {
 // spillFn returns the reclamation layer's spill hook: retired states'
 // digests become preferred eviction candidates of the tiered store
 // (eviction ordering follows epoch order under memory pressure). Nil
-// without a tiered store, so the frontier strategies pay nothing.
+// without a tiered store, so the work-stealing strategy pays nothing.
 func (e *engine) spillFn() func(digest) {
 	if e.tiered == nil {
 		return nil
@@ -233,26 +228,26 @@ func (e *engine) putBuf(b *[]byte) { e.bufs.Put(b) }
 // MaxViolations cap is enforced here, under the lock, so concurrent
 // workers can never overshoot it between their own limit checks.
 //
-// Callers that must pay to construct the trail (the frontier
-// strategies rebuild it from parent links per violation) should call
+// Callers that must pay to construct the trail (the work-stealing
+// strategy rebuilds it from parent links per violation) should call
 // reserve first and build the trail only for accepted violations —
 // on violation-dense state spaces almost every hit is a duplicate, and
 // constructing trails for them is pure allocation churn.
-func (e *engine) record(v Violation, trail []TrailStep, depth int) bool {
+func (e *engine) record(v Violation, trail []TrailStep) bool {
 	if !e.reserve(v) {
 		return false
 	}
 	copied := append([]TrailStep(nil), trail...)
-	e.commit(v, copied, depth)
+	e.commit(v, copied)
 	return true
 }
 
 // recordAll records each of vs with the sequential DFS's trail,
 // reporting whether a recorded violation hit a search limit (the
 // caller marks the result truncated and stops).
-func (e *engine) recordAll(vs []Violation, trail []TrailStep, depth int) bool {
+func (e *engine) recordAll(vs []Violation, trail []TrailStep) bool {
 	for _, v := range vs {
-		if e.record(v, trail, depth) && e.limitHit() {
+		if e.record(v, trail) && e.limitHit() {
 			return true
 		}
 	}
@@ -279,14 +274,17 @@ func (e *engine) reserve(v Violation) bool {
 // commit is phase 2: materialize the trail (forward replay —
 // potentially a full re-execution per step) outside the lock, without
 // serializing other workers behind it, then append the result. commit
-// takes ownership of trail.
-func (e *engine) commit(v Violation, trail []TrailStep, depth int) {
+// takes ownership of trail. The violation's depth is its trail's length
+// on every strategy: the work-stealing strategy's relaxed state depths
+// can sit below the length of the first-writer parent chain a trail
+// follows, so a depth reported from them would disagree with the trail.
+func (e *engine) commit(v Violation, trail []TrailStep) {
 	e.materialize(trail)
 	e.mu.Lock()
 	e.found = append(e.found, Found{
 		Violation: v,
 		Trail:     trail,
-		Depth:     depth,
+		Depth:     len(trail),
 	})
 	e.mu.Unlock()
 }
@@ -294,7 +292,7 @@ func (e *engine) commit(v Violation, trail []TrailStep, depth int) {
 // materialize resolves lazy trail steps in place by replaying forward:
 // the first step carries its source state, each replay returns the
 // successor the next step starts from. Steps whose chain is broken (an
-// eagerly recorded, keyless step in the middle of a parallel trail)
+// eagerly recorded, keyless step in the middle of a parent-link trail)
 // degrade to label-only. Runs outside the engine lock, only for
 // genuinely new violations — duplicates are rejected before reaching
 // it.
@@ -349,8 +347,8 @@ func (e *engine) limitHit() bool {
 
 // expand returns the successors of state to explore: the system's full
 // successor list, reduced to a persistent subset when partial-order
-// reduction selects one at this state. Every strategy expands through
-// this path, so all three explore the same reduced graph.
+// reduction selects one at this state. Both strategies expand through
+// this path, so they explore the same reduced graph.
 //
 // The cycle/visited-state proviso is enforced here, so no violation
 // reachable through a pruned interleaving can be masked by the ignoring
@@ -361,7 +359,7 @@ func (e *engine) limitHit() bool {
 // if at least one of its successors is not already in the visited
 // store: otherwise every subset transition closes back into explored
 // territory and the engine falls back to the full expansion. (The
-// probe digests each selected successor a second time — expandShared
+// probe digests each selected successor a second time — expandState
 // re-digests them for the store insert — but only uncertified reducers
 // pay it, and only on accepted reductions; the model's certified
 // reducer skips the probe entirely.)
@@ -530,7 +528,7 @@ func (e *engine) visitInitial() (State, digest) {
 	}
 	e.explored.Add(1)
 	for _, v := range e.sys.Inspect(init) {
-		e.record(v, nil, 0)
+		e.record(v, nil)
 	}
 	return init, d
 }

@@ -47,12 +47,10 @@ func violationKeys(res *Result) []string {
 
 func strategies() map[string]Options {
 	return map[string]Options{
-		"dfs":        {Strategy: StrategyDFS},
-		"parallel":   {Strategy: StrategyParallel},
-		"parallel-1": {Strategy: StrategyParallel, Workers: 1},
-		"steal":      {Strategy: StrategySteal},
-		"steal-1":    {Strategy: StrategySteal, Workers: 1},
-		"steal-4":    {Strategy: StrategySteal, Workers: 4},
+		"dfs":     {Strategy: StrategyDFS},
+		"steal":   {Strategy: StrategySteal},
+		"steal-1": {Strategy: StrategySteal, Workers: 1},
+		"steal-4": {Strategy: StrategySteal, Workers: 4},
 	}
 }
 
@@ -76,9 +74,9 @@ func TestMaxViolationsNeverOvershot(t *testing.T) {
 }
 
 // TestTruncationLimits: MaxStates, MaxDepth, and Deadline all mark the
-// result truncated, for every strategy. MaxStates is exact: the frontier
-// strategies claim each explored slot with a CAS against the cap, so no
-// worker count overshoots it.
+// result truncated, for every strategy. MaxStates is exact: the
+// work-stealing strategy claims each explored slot with a CAS against
+// the cap, so no worker count overshoots it.
 func TestTruncationLimits(t *testing.T) {
 	for name, base := range strategies() {
 		opts := base
@@ -141,8 +139,9 @@ func TestBitstateFalsePositives(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesDFSOnToys: the parallel strategy reports the same
-// distinct-violation set as sequential DFS on fully explored systems.
+// TestParallelMatchesDFSOnToys: the work-stealing strategy reports the
+// same distinct-violation set as sequential DFS on fully explored
+// systems.
 func TestParallelMatchesDFSOnToys(t *testing.T) {
 	systems := map[string]System{
 		"chain":     &chainSys{bound: 8, bad: 24},
@@ -150,58 +149,78 @@ func TestParallelMatchesDFSOnToys(t *testing.T) {
 	}
 	for name, sys := range systems {
 		seq := Run(sys, Options{MaxDepth: 32})
-		for _, strat := range []StrategyKind{StrategyParallel, StrategySteal} {
-			par := Run(sys, Options{MaxDepth: 32, Strategy: strat})
-			if seq.Truncated || par.Truncated {
-				t.Fatalf("%s/%v: unexpected truncation", name, strat)
-			}
-			if got, want := violationKeys(par), violationKeys(seq); !equalStrings(got, want) {
-				t.Errorf("%s: %v violations %v != dfs %v", name, strat, got, want)
-			}
-			if par.StatesExplored != seq.StatesExplored {
-				t.Errorf("%s: %v explored %d, dfs %d", name, strat, par.StatesExplored, seq.StatesExplored)
-			}
+		par := Run(sys, Options{MaxDepth: 32, Strategy: StrategySteal})
+		if seq.Truncated || par.Truncated {
+			t.Fatalf("%s: unexpected truncation", name)
+		}
+		if got, want := violationKeys(par), violationKeys(seq); !equalStrings(got, want) {
+			t.Errorf("%s: steal violations %v != dfs %v", name, got, want)
+		}
+		if par.StatesExplored != seq.StatesExplored {
+			t.Errorf("%s: steal explored %d, dfs %d", name, par.StatesExplored, seq.StatesExplored)
 		}
 	}
 }
 
-// TestParallelTrailReplays: a trail reconstructed from parent links must
-// be a genuine path of the system — replaying its labels from the
-// initial state reaches the reported violation.
-func TestParallelTrailReplays(t *testing.T) {
-	sys := &chainSys{bound: 8, bad: 24}
-	res := Run(sys, Options{MaxDepth: 32, Strategy: StrategyParallel})
-	if !res.HasViolation("bad-value") {
-		t.Fatal("violation not found")
+// badC3Diamond is diamondSys with a safety violation at chain state C3.
+type badC3Diamond struct{ diamondSys }
+
+func (d *badC3Diamond) Inspect(s State) []Violation {
+	if s.(intState) == 203 {
+		return []Violation{{Property: "bad-c3", Detail: "C3"}}
 	}
-	for _, f := range res.Violations {
-		if f.Depth != len(f.Trail) {
-			t.Errorf("depth=%d trail=%d", f.Depth, len(f.Trail))
-		}
-		cur := sys.Initial()
-		for i, step := range f.Trail {
-			var next State
-			for _, tr := range sys.Expand(cur) {
-				if tr.Label == step.Label {
-					next = tr.Next
-					break
+	return nil
+}
+
+// TestParallelTrailReplays: under the work-stealing strategy a trail
+// reconstructed from parent links must be a genuine path of the system
+// — replaying its labels from the initial state reaches the reported
+// violation — and the reported depth must be the trail's length. On the
+// diamond, multi-worker runs can relax X's depth to 2 (via the B arm)
+// while X's parent link still follows the long A arm; the depth must
+// not be taken from the relaxed table. The run count makes a depth
+// taken from the relaxed table show on at least one run.
+func TestParallelTrailReplays(t *testing.T) {
+	sys := &badC3Diamond{diamondSys{aLen: 8, cLen: 4}}
+	for _, workers := range []int{2, 4} {
+		for run := 0; run < 1000; run++ {
+			res := Run(sys, Options{MaxDepth: 32, Strategy: StrategySteal, Workers: workers})
+			if !res.HasViolation("bad-c3") {
+				t.Fatalf("workers=%d run=%d: violation not found", workers, run)
+			}
+			for _, f := range res.Violations {
+				if f.Depth != len(f.Trail) {
+					t.Fatalf("workers=%d run=%d: depth=%d trail=%d", workers, run, f.Depth, len(f.Trail))
+				}
+				cur := sys.Initial()
+				for i, step := range f.Trail {
+					var next State
+					for _, tr := range sys.Expand(cur) {
+						if tr.Label == step.Label {
+							next = tr.Next
+							break
+						}
+					}
+					if next == nil {
+						t.Fatalf("workers=%d run=%d: trail step %d (%q) is not a transition of the current state",
+							workers, run, i, step.Label)
+					}
+					cur = next
+				}
+				if len(sys.Inspect(cur)) == 0 {
+					t.Fatalf("workers=%d run=%d: replayed trail for %s ends in a non-violating state",
+						workers, run, f.Violation)
 				}
 			}
-			if next == nil {
-				t.Fatalf("trail step %d (%q) is not a transition of the current state", i, step.Label)
-			}
-			cur = next
-		}
-		if len(sys.Inspect(cur)) == 0 {
-			t.Errorf("replayed trail for %s ends in a non-violating state", f.Violation)
 		}
 	}
 }
 
-// TestParallelNoDedup: NoDedup explores every path in parallel too.
+// TestParallelNoDedup: NoDedup explores every path under the
+// work-stealing strategy too.
 func TestParallelNoDedup(t *testing.T) {
-	dedup := Run(&chainSys{bound: 10, bad: -1}, Options{MaxDepth: 16, Strategy: StrategyParallel})
-	nodedup := Run(&chainSys{bound: 10, bad: -1}, Options{MaxDepth: 16, Strategy: StrategyParallel, NoDedup: true})
+	dedup := Run(&chainSys{bound: 10, bad: -1}, Options{MaxDepth: 16, Strategy: StrategySteal})
+	nodedup := Run(&chainSys{bound: 10, bad: -1}, Options{MaxDepth: 16, Strategy: StrategySteal, NoDedup: true})
 	if nodedup.StatesExplored <= dedup.StatesExplored {
 		t.Errorf("NoDedup explored %d <= dedup %d", nodedup.StatesExplored, dedup.StatesExplored)
 	}

@@ -82,7 +82,6 @@ func TestInspectOncePerStoredState(t *testing.T) {
 		"dfs":            {Strategy: StrategyDFS},
 		"steal-1":        {Strategy: StrategySteal, Workers: 1},
 		"steal-2":        {Strategy: StrategySteal, Workers: 2},
-		"parallel":       {Strategy: StrategyParallel},
 		"dfs-nodedup":    {Strategy: StrategyDFS, NoDedup: true},
 		"steal-nodedup":  {Strategy: StrategySteal, Workers: 2, NoDedup: true},
 		"dfs-bitstate":   {Strategy: StrategyDFS, Store: Bitstate},
@@ -151,10 +150,9 @@ func TestInspectDFSTrailIsFirstArrival(t *testing.T) {
 // so the stored and explored counts agree.
 func TestInspectMaxViolationsStopOnStoredState(t *testing.T) {
 	for name, opts := range map[string]Options{
-		"dfs":      {Strategy: StrategyDFS},
-		"steal-1":  {Strategy: StrategySteal, Workers: 1},
-		"steal-2":  {Strategy: StrategySteal, Workers: 2},
-		"parallel": {Strategy: StrategyParallel},
+		"dfs":     {Strategy: StrategyDFS},
+		"steal-1": {Strategy: StrategySteal, Workers: 1},
+		"steal-2": {Strategy: StrategySteal, Workers: 2},
 	} {
 		opts.MaxDepth = 8
 		opts.MaxViolations = 1

@@ -84,7 +84,7 @@ func TestPORCertifiedSkipsProviso(t *testing.T) {
 }
 
 // TestPORAppliesToAllStrategies: the reduced graph is the same for
-// DFS, the level-synchronous strategy, and work-stealing — POR routes
+// DFS and work-stealing at every worker count — POR routes
 // through the shared expansion path everywhere.
 func TestPORAppliesToAllStrategies(t *testing.T) {
 	for name, base := range strategies() {

@@ -5,7 +5,7 @@ import "sync/atomic"
 // Epoch-based reclamation for the work-stealing frontier.
 //
 // PR 6's StateRecycler free-lists made the sequential DFS hot path
-// allocation-free, but the frontier strategies could not join it: a
+// allocation-free, but the work-stealing strategy could not join it: a
 // state consumed from a Chase–Lev deque has crossed worker boundaries,
 // and a thief that loaded the entry pointer during its scavenge pass
 // may still hold that pointer after the consumer is done with the

@@ -116,7 +116,7 @@ func (p *poisonGrid) RecycleTransitions(trs []Transition) {
 	p.mu.Unlock()
 }
 
-// TestEpochReclaimPoison: both parallel strategies, recycling on, must
+// TestEpochReclaimPoison: the work-stealing strategy, recycling on, must
 // explore the exact DFS state space with zero dead-state uses — the
 // epoch grace period has to keep every stolen-but-unexpanded state
 // alive past its parent's retirement. Run repeatedly (and under -race
@@ -134,32 +134,30 @@ func TestEpochReclaimPoison(t *testing.T) {
 		t.Fatalf("dfs reference used %d dead states", ref.poisoned.Load())
 	}
 
-	for _, strat := range []StrategyKind{StrategySteal, StrategyParallel} {
-		for run := 0; run < 4; run++ {
-			sys := mk()
-			o := opts
-			o.Strategy = strat
-			o.Workers = 8
-			res := Run(sys, o)
-			if n := sys.poisoned.Load(); n != 0 {
-				t.Fatalf("%v run %d: %d dead-state uses — reclamation freed a live state", strat, run, n)
-			}
-			if sys.recycled.Load() == 0 {
-				t.Errorf("%v run %d: recycler never invoked — the hot path under test did not run", strat, run)
-			}
-			if res.StatesExplored != seq.StatesExplored || res.StatesMatched != seq.StatesMatched ||
-				res.StatesStored != seq.StatesStored {
-				t.Errorf("%v run %d: explored=%d matched=%d stored=%d, dfs %d/%d/%d",
-					strat, run, res.StatesExplored, res.StatesMatched, res.StatesStored,
-					seq.StatesExplored, seq.StatesMatched, seq.StatesStored)
-			}
-			if len(res.Violations) != len(seq.Violations) {
-				t.Errorf("%v run %d: %d violations, want %d", strat, run, len(res.Violations), len(seq.Violations))
-			}
+	for run := 0; run < 4; run++ {
+		sys := mk()
+		o := opts
+		o.Strategy = StrategySteal
+		o.Workers = 8
+		res := Run(sys, o)
+		if n := sys.poisoned.Load(); n != 0 {
+			t.Fatalf("run %d: %d dead-state uses — reclamation freed a live state", run, n)
+		}
+		if sys.recycled.Load() == 0 {
+			t.Errorf("run %d: recycler never invoked — the hot path under test did not run", run)
+		}
+		if res.StatesExplored != seq.StatesExplored || res.StatesMatched != seq.StatesMatched ||
+			res.StatesStored != seq.StatesStored {
+			t.Errorf("run %d: explored=%d matched=%d stored=%d, dfs %d/%d/%d",
+				run, res.StatesExplored, res.StatesMatched, res.StatesStored,
+				seq.StatesExplored, seq.StatesMatched, seq.StatesStored)
+		}
+		if len(res.Violations) != len(seq.Violations) {
+			t.Errorf("run %d: %d violations, want %d", run, len(res.Violations), len(seq.Violations))
 		}
 	}
 
-	// Escape hatch: with reclamation off the parallel strategies must
+	// Escape hatch: with reclamation off the steal strategy must
 	// never call Recycle (DFS keeps its free-lists regardless).
 	sys := mk()
 	res := Run(sys, Options{MaxDepth: 200, Strategy: StrategySteal, Workers: 8, NoEpochReclaim: true})

@@ -56,11 +56,11 @@ func (w *workSys) Inspect(s State) []Violation {
 	return nil
 }
 
-// TestParallelSpeedupMultiCore asserts the acceptance criterion that
-// the parallel strategy achieves a ≥2× speedup at GOMAXPROCS workers
-// versus 1 worker on a machine with at least 4 cores (the CI runner;
-// single-core dev containers and race-instrumented runs skip it).
-func TestParallelSpeedupMultiCore(t *testing.T) {
+// TestStealSpeedupMultiCore asserts that the work-stealing strategy
+// achieves a ≥2× speedup at GOMAXPROCS workers versus 1 worker on a
+// machine with at least 4 cores (the CI runner; smaller machines and
+// race-instrumented runs skip it).
+func TestStealSpeedupMultiCore(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	if raceEnabled {
 		t.Skip("timing assertion skipped under the race detector")
@@ -70,13 +70,11 @@ func TestParallelSpeedupMultiCore(t *testing.T) {
 	}
 
 	sys := &workSys{fanout: 8, levels: 5, spin: 2000}
-	opts := Options{MaxDepth: 8, Strategy: StrategyParallel}
 
 	measure := func(workers int) time.Duration {
 		best := time.Duration(0)
-		for i := 0; i < 2; i++ { // best-of-2 damps scheduler noise
-			o := opts
-			o.Workers = workers
+		for i := 0; i < 3; i++ { // best-of-3 damps scheduler noise
+			o := Options{MaxDepth: 8, Strategy: StrategySteal, Workers: workers}
 			start := time.Now()
 			res := Run(sys, o)
 			elapsed := time.Since(start)
@@ -93,64 +91,8 @@ func TestParallelSpeedupMultiCore(t *testing.T) {
 	t1 := measure(1)
 	tn := measure(procs)
 	speedup := float64(t1) / float64(tn)
-	t.Logf("1 worker: %v, %d workers: %v → %.2fx speedup", t1, procs, tn, speedup)
-	if speedup < 2.0 {
-		t.Errorf("parallel speedup %.2fx < 2.0x at %d workers", speedup, procs)
-	}
-}
-
-// TestStealSpeedupMultiCore asserts the same ≥2× speedup criterion for
-// the work-stealing strategy, and additionally that on this CPU-bound
-// workload steal at GOMAXPROCS workers is no slower than the
-// level-synchronous frontier at the same worker count (the steal
-// design exists to remove the per-level merge barrier, so it must not
-// give back the parallelism the barrier-free search buys).
-func TestStealSpeedupMultiCore(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	if raceEnabled {
-		t.Skip("timing assertion skipped under the race detector")
-	}
-	if procs < 4 {
-		t.Skipf("need ≥4 CPUs for the speedup assertion, have %d", procs)
-	}
-
-	sys := &workSys{fanout: 8, levels: 5, spin: 2000}
-
-	measure := func(strategy StrategyKind, workers int) time.Duration {
-		best := time.Duration(0)
-		for i := 0; i < 3; i++ { // best-of-3 damps scheduler noise
-			o := Options{MaxDepth: 8, Strategy: strategy, Workers: workers}
-			start := time.Now()
-			res := Run(sys, o)
-			elapsed := time.Since(start)
-			if res.Truncated {
-				t.Fatal("workload unexpectedly truncated")
-			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		return best
-	}
-
-	t1 := measure(StrategySteal, 1)
-	tn := measure(StrategySteal, procs)
-	speedup := float64(t1) / float64(tn)
 	t.Logf("steal: 1 worker %v, %d workers %v → %.2fx speedup", t1, procs, tn, speedup)
 	if speedup < 2.0 {
 		t.Errorf("steal speedup %.2fx < 2.0x at %d workers", speedup, procs)
-	}
-
-	// Cross-strategy ratio: steal exists to remove the level barrier, so
-	// it must not fall far behind the level-synchronous search at equal
-	// workers. Absolute times of two different algorithms on a shared
-	// runner carry noise that best-of-N does not fully cancel, so the
-	// bound only catches gross regressions (e.g. a reintroduced
-	// barrier); the equal-work benchmark tracks the fine-grained ratio.
-	tbfs := measure(StrategyParallel, procs)
-	ratio := float64(tbfs) / float64(tn)
-	t.Logf("at %d workers: parallel %v, steal %v → steal %.2fx of parallel", procs, tbfs, tn, ratio)
-	if ratio < 0.7 {
-		t.Errorf("steal is %.2fx the speed of the level-synchronous strategy at %d workers", ratio, procs)
 	}
 }

@@ -67,8 +67,8 @@ func hash2(data []byte) uint64 {
 //
 // Sequential stores (hashStore, bitStore, nopStore) are not safe for
 // concurrent use; the engine selects their sharded/atomic counterparts
-// (shardedHashStore, atomicBitStore, atomicNopStore) for the parallel
-// strategy.
+// (shardedHashStore, atomicBitStore, atomicNopStore) for the
+// work-stealing strategy.
 type store interface {
 	seen(d digest) bool
 	peek(d digest) bool
@@ -131,7 +131,7 @@ func (s *hashStore) size() int { return len(s.m) }
 const hashShards = 256
 
 // shardedHashStore is the lock-striped exhaustive store for the
-// parallel strategy: h1's top bits pick a shard, so insertions from
+// work-stealing strategy: h1's top bits pick a shard, so insertions from
 // different workers rarely contend on the same mutex.
 type shardedHashStore struct {
 	//iotsan:padded
@@ -245,11 +245,11 @@ func (s *bitStore) peek(d digest) bool {
 
 func (s *bitStore) size() int { return s.count }
 
-// atomicBitStore is the bitstate store for the parallel strategy: the
-// same probe scheme with lock-free atomic bit operations, so insertion
+// atomicBitStore is the bitstate store for the work-stealing strategy:
+// the same probe scheme with lock-free atomic bit operations, so insertion
 // scales with cores. Two workers racing on the same unseen state may
 // both observe it as new (both count it explored); that duplication is
-// harmless — successors are deduplicated at the next level — and is the
+// harmless — successors are deduplicated when next reached — and is the
 // standard trade-off in lock-free bitstate implementations.
 type atomicBitStore struct {
 	bits  []atomic.Uint64

@@ -41,7 +41,7 @@ import (
 // store from logged visit digests on resume.
 
 // tieredShards is the hot tier's lock-stripe count: enough that the
-// frontier strategies rarely contend, few enough that per-shard FIFO
+// work-stealing workers rarely contend, few enough that per-shard FIFO
 // rings stay cheap.
 const tieredShards = 64
 

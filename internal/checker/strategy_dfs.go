@@ -89,13 +89,12 @@ func (s sequentialDFS) search(e *engine) {
 		tr := top.succs[top.next]
 		top.next++
 
-		depth := len(stack)
 		trail = append(trail, TrailStep{Label: tr.Label, Steps: tr.Steps, From: top.state, Key: tr.Key})
-		e.noteDepth(depth)
+		e.noteDepth(len(stack))
 		// Transition-scoped violations belong to this arrival, so they
 		// are recorded before dedup; the state's invariants are checked
 		// once, below, when the state is first stored.
-		if e.recordAll(tr.Violations, trail, depth) {
+		if e.recordAll(tr.Violations, trail) {
 			e.truncated.Store(true)
 			break
 		}
@@ -120,7 +119,7 @@ func (s sequentialDFS) search(e *engine) {
 		e.explored.Add(1)
 		// A state's first arrival is the one that stores it, so the
 		// trail here is the first-arrival path.
-		if e.recordAll(e.sys.Inspect(tr.Next), trail, depth) {
+		if e.recordAll(e.sys.Inspect(tr.Next), trail) {
 			e.truncated.Store(true)
 			break
 		}

@@ -7,16 +7,12 @@ import (
 	"time"
 )
 
-// workSteal is the work-stealing frontier strategy. Where
-// StrategyParallel is level-synchronous — every BFS level ends in a
-// full merge barrier that idles workers on irregular state graphs —
-// workSteal gives each worker a private Chase–Lev deque: the owner
-// pushes and pops newly stored states LIFO (locally depth-first), and
-// a worker whose deque runs dry steals the oldest entry FIFO from a
-// victim. No worker ever waits at a barrier; the only global
-// synchronisation is the sharded visited store (shared with
-// StrategyParallel) and per-worker sent/done counters used for
-// termination detection.
+// workSteal is the frontier strategy: each worker owns a private
+// Chase–Lev deque, pushes and pops newly stored states LIFO (locally
+// depth-first), and steals the oldest entry FIFO from a victim when its
+// deque runs dry. No worker ever waits at a barrier; the only global
+// synchronisation is the sharded visited store and per-worker
+// sent/done counters used for termination detection.
 //
 // Termination: each worker keeps two monotone, padded counters — sent
 // (states it pushed to its deque, root included) and done (expansions
@@ -32,21 +28,25 @@ import (
 // sent increment without its eventual done and miss termination, but
 // never falsely detect it; summing done first can do neither.)
 //
-// Like StrategyParallel, trails are reconstructed through the shared
-// parent-link table. Each stored state's depth starts as the length of
-// whichever path stored it first and is then lowered (CAS-min in the
-// parent store) every time a shorter path re-encounters the state; a
-// state whose depth improves is re-enqueued so the shorter distance
-// propagates to its descendants — a relaxation pass whose expansions
-// run with the matched counter suppressed, so exploration statistics
-// stay identical to a run that found the minimal depths first. The
+// Trails cannot be threaded through a stack here, so every newly stored
+// state records a parent link in a sharded table and a violation's
+// trail is reconstructed by walking the links back to the root. Each
+// stored state's depth starts as the length of whichever path stored
+// it first and is then lowered (CAS-min in the parent store) every
+// time a shorter path re-encounters the state; a state whose depth
+// improves is re-enqueued so the shorter distance propagates to its
+// descendants — a relaxation pass whose expansions run with the
+// matched counter suppressed, so exploration statistics stay
+// identical to a run that found the minimal depths first. The
 // final depth table is therefore the shortest-distance fixpoint,
 // independent of exploration order: MaxDepth clips expansion at the
-// same bound as the other strategies (states at the bound are stored
-// but not expanded), and both Truncated and MaxDepthReached are
-// computed from the final table after the search drains, so
-// depth-clipped searches report deterministic results instead of
-// "whichever path stored it first".
+// same bound as DFS (states at the bound are stored but not expanded),
+// and both Truncated and MaxDepthReached are computed from the final
+// table after the search drains, so depth-clipped searches report
+// deterministic results instead of "whichever path stored it first".
+// Trails are not shortest paths: the parent links keep the first
+// writer's edge, so a trail follows whichever path stored each state
+// first, and may be longer than the state's minimal depth.
 //
 // Under a shared WorkerBudget (Options.Budget), the search starts with
 // the single admission token its caller holds and grows workers
@@ -83,6 +83,190 @@ type stealEntry struct {
 	d     digest
 }
 
+// parentEdge is the incoming parent-link edge of a stored state. For
+// lazy-trail systems, steps stays nil and key carries the replay
+// handle instead: the edge then costs one word plus a (shared) label
+// string, and the step strings are only produced — by replaying
+// forward from the root state — if a trail through this edge is
+// materialized. No per-edge state is retained.
+//
+// depth is the minimal known depth of the state: the depth of
+// whichever path stored the state first, lowered through relax
+// whenever a shorter path re-encounters the state, so the final depths
+// are the order-independent shortest-distance fixpoint.
+// expanded marks states whose counted expansion has been claimed; it
+// arbitrates between the one expansion that contributes to the
+// explored/matched counters and the depth-relaxation re-expansions
+// that only propagate improved depths.
+// provisional marks an entry created by relax before the storing
+// worker's put landed: the visited store admits a state (seen) strictly
+// before its parent edge is recorded, so a shorter path can re-encounter
+// the state inside that window. The depth-only provisional entry
+// preserves the improvement; put then merges the real edge into it.
+type parentEdge struct {
+	parent      uint64 // h1 of the predecessor state (rootHash for the root)
+	label       string
+	steps       []string
+	key         uint64
+	depth       int32
+	expanded    bool
+	provisional bool
+}
+
+// parentShards stripes the parent-link table; writes happen once per
+// stored state, reads only during trail reconstruction.
+const parentShards = 64
+
+type parentStore struct {
+	root         uint64
+	rootState    State // initial state: forward replay of lazy trails starts here
+	rootExpanded atomic.Bool
+	shards       [parentShards]struct {
+		mu sync.Mutex
+		m  map[uint64]parentEdge
+	}
+}
+
+func newParentStore(root uint64, rootState State) *parentStore {
+	p := &parentStore{root: root, rootState: rootState}
+	for i := range p.shards {
+		p.shards[i].m = make(map[uint64]parentEdge)
+	}
+	return p
+}
+
+func (p *parentStore) put(h uint64, edge parentEdge) {
+	sh := &p.shards[h>>58&(parentShards-1)]
+	sh.mu.Lock()
+	if ex, ok := sh.m[h]; !ok { // first writer wins: keep the parent tree acyclic
+		sh.m[h] = edge
+	} else if ex.provisional {
+		// A relax raced into the seen→put window and left a depth-only
+		// placeholder: merge the real edge in, keeping the minimum depth
+		// (and the expanded claim, if a re-enqueued copy already ran).
+		if ex.depth < edge.depth {
+			edge.depth = ex.depth
+		}
+		edge.expanded = ex.expanded
+		sh.m[h] = edge
+	}
+	sh.mu.Unlock()
+}
+
+func (p *parentStore) get(h uint64) (parentEdge, bool) {
+	sh := &p.shards[h>>58&(parentShards-1)]
+	sh.mu.Lock()
+	e, ok := sh.m[h]
+	sh.mu.Unlock()
+	return e, ok
+}
+
+// relax lowers the recorded depth of h to depth if that improves it —
+// the CAS-min of the deterministic depth clipping. It reports whether
+// the depth improved; a caller seeing an improvement re-enqueues the
+// state so the shorter distance propagates to its descendants (and so
+// a state first stored at the depth bound becomes expandable once a
+// shorter path reaches it).
+func (p *parentStore) relax(h uint64, depth int32) bool {
+	if h == p.root {
+		return false // the root's depth 0 cannot improve
+	}
+	sh := &p.shards[h>>58&(parentShards-1)]
+	sh.mu.Lock()
+	e, ok := sh.m[h]
+	if !ok {
+		// The storing worker admitted h to the visited store but its
+		// put has not landed yet. Record the depth provisionally so the
+		// improvement cannot be lost to the race; no re-enqueue is
+		// needed — the storing worker enqueues the state right after
+		// its put, and that pop reads the merged (minimal) depth.
+		sh.m[h] = parentEdge{depth: depth, provisional: true}
+		sh.mu.Unlock()
+		return false
+	}
+	improved := depth < e.depth
+	if improved {
+		e.depth = depth
+		sh.m[h] = e
+	}
+	sh.mu.Unlock()
+	return improved
+}
+
+// claimExpansion reads h's minimal depth and — unless the depth sits at
+// or beyond bound, where the state must stay unexpanded so a later
+// relaxation below the bound can still claim it — marks the counted
+// expansion as claimed, all under one shard lock (this runs once per
+// pop on the hot path). counted reports whether this caller won
+// the claim: exactly one expansion of each state contributes to the
+// explored/matched counters; later re-expansions (depth relaxation)
+// run with counting suppressed.
+func (p *parentStore) claimExpansion(h uint64, bound int32) (depth int32, counted bool) {
+	if h == p.root {
+		return 0, p.rootExpanded.CompareAndSwap(false, true)
+	}
+	sh := &p.shards[h>>58&(parentShards-1)]
+	sh.mu.Lock()
+	e, ok := sh.m[h]
+	if !ok {
+		sh.mu.Unlock()
+		return 0, false
+	}
+	depth = e.depth
+	if depth < bound && !e.expanded {
+		e.expanded = true
+		sh.m[h] = e
+		counted = true
+	}
+	sh.mu.Unlock()
+	return depth, counted
+}
+
+// scan walks the final depth table after the search drains, returning
+// the deepest stored state's minimal depth and whether any state sits
+// at or beyond the bound (stored but never expanded — the deterministic
+// truncation signal: the minimal-depth fixpoint does not depend on the
+// order in which paths reached each state).
+func (p *parentStore) scan(bound int32) (maxDepth int32, clipped bool) {
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for _, e := range sh.m {
+			if e.depth > maxDepth {
+				maxDepth = e.depth
+			}
+			if e.depth >= bound {
+				clipped = true
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return maxDepth, clipped
+}
+
+// trailTo reconstructs the trail from the root to the state with hash h
+// by walking parent links. maxLen bounds the walk against hash-collision
+// cycles. When the walk reaches the root, the first step carries the
+// initial state so lazy steps can be materialized by forward replay.
+func (p *parentStore) trailTo(h uint64, maxLen int) []TrailStep {
+	var rev []TrailStep
+	for h != p.root && len(rev) <= maxLen {
+		e, ok := p.get(h)
+		if !ok {
+			break
+		}
+		rev = append(rev, TrailStep{Label: e.label, Steps: e.steps, Key: e.key})
+		h = e.parent
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	if len(rev) > 0 && h == p.root {
+		rev[0].From = p.rootState
+	}
+	return rev
+}
+
 // wsCounters is one worker slot's termination-detection pair. Written
 // (plain atomic stores — the owner is the only writer) by the slot's
 // worker, scanned by any worker checking quiescence; padded so
@@ -116,8 +300,20 @@ type stealRun struct {
 	// reclaim is the epoch-based reclamation layer, nil when the system
 	// does not recycle or Options.NoEpochReclaim is set.
 	reclaim *reclaimer
-	// relaxOff disables depth relaxation (uncertified POR or symmetry
-	// folding; see expand).
+	// relaxOff disables depth relaxation. Relaxation re-expands
+	// states, which must replay exactly the transitions the counted
+	// expansion explored. With an uncertified POR reducer the engine's
+	// visited-state proviso makes expansion store-dependent — a replay
+	// could diverge from the counted graph — so relaxation is disabled
+	// there (clipping then keeps the first-path semantics for that
+	// combination only). Certified reducers are pure functions of the
+	// state and replay identically. Symmetry reduction disables
+	// relaxation for the same reason in a different guise: a duplicate
+	// hit is then only *isomorphic* to the stored representative, not
+	// byte-identical, so re-expanding the duplicate raw state would
+	// record parent edges and trail steps whose replay keys do not
+	// stitch onto the representative's chain — counter-examples would
+	// stop being concrete executions.
 	relaxOff bool
 	live     atomic.Int32 // workers currently running (crew-size check)
 	nextIdx  atomic.Int32 // monotonic worker-index allocator
@@ -143,10 +339,6 @@ func (s *workSteal) search(e *engine) {
 		e.truncated.Store(true)
 		return
 	}
-
-	// MaxDepthReached comes from the final depth-table scan below;
-	// per-expansion notes would only be overwritten.
-	e.depthByScan = true
 
 	r := &stealRun{
 		e:        e,
@@ -325,18 +517,13 @@ func (r *stealRun) putEntry(w int, ent *stealEntry) {
 	r.pools[w].free = append(r.pools[w].free, ent)
 }
 
-// wsCtx is one worker's expansion context. The enqueue/duplicate hooks
-// are bound once per worker (not per expansion — the hot path must not
-// allocate closures) and read the per-expansion fields from here.
+// wsCtx is one worker's expansion context.
 type wsCtx struct {
-	r          *stealRun
-	w          int
-	sc         *statCell
-	sent       int64 // running mirror of cnts[w].sent
-	childDepth int
-	epoch      uint64 // epoch pinned before the current entry was consumed
-	enq        func(State, digest)
-	dup        func(State, digest) bool
+	r     *stealRun
+	w     int
+	sc    *statCell
+	sent  int64  // running mirror of cnts[w].sent
+	epoch uint64 // epoch pinned before the current entry was consumed
 }
 
 // pushState counts and enqueues one newly stored state. The sent store
@@ -346,17 +533,6 @@ func (c *wsCtx) pushState(st State, d digest) {
 	c.sent++
 	c.r.cnts[c.w].sent.Store(c.sent)
 	c.r.deques[c.w].push(c.r.getEntry(c.w, st, d))
-}
-
-// relaxDup is the duplicate hook when depth relaxation is on: a
-// re-encountered successor whose depth improves is re-enqueued so the
-// shorter distance propagates; the entry is then live (kept).
-func (c *wsCtx) relaxDup(st State, d digest) bool {
-	if c.r.parents.relax(d.h1, int32(c.childDepth)) {
-		c.pushState(st, d)
-		return true
-	}
-	return false
 }
 
 // work is one worker's main loop: drain the own deque LIFO, steal FIFO
@@ -373,25 +549,6 @@ func (r *stealRun) work(w int, ownsToken bool) {
 	defer sc.flush(e)
 
 	c := &wsCtx{r: r, w: w, sc: &sc, sent: r.cnts[w].sent.Load()}
-	c.enq = c.pushState
-	c.dup = c.relaxDup
-	if r.relaxOff {
-		// Depth relaxation re-expands states, which must replay exactly
-		// the transitions the counted expansion explored. With an
-		// uncertified POR reducer the engine's visited-state proviso
-		// makes expansion store-dependent — a replay could diverge from
-		// the counted graph — so relaxation is disabled there (clipping
-		// then keeps the first-path semantics for that combination
-		// only). Certified reducers are pure functions of the state and
-		// replay identically. Symmetry reduction disables relaxation
-		// for the same reason in a different guise: a duplicate hit is
-		// then only *isomorphic* to the stored representative, not
-		// byte-identical, so re-expanding the duplicate raw state would
-		// record parent edges and trail steps whose replay keys do not
-		// stitch onto the representative's chain — counter-examples
-		// would stop being concrete executions.
-		c.dup = nil
-	}
 	done := r.cnts[w].done.Load()
 	if r.reclaim != nil {
 		r.reclaim.online(w)
@@ -517,39 +674,147 @@ func (r *stealRun) retireState(w int, epoch uint64, st State, d digest) {
 	r.reclaim.retire(w, epoch, st, d)
 }
 
-// expand processes one entry through the shared expansion path,
-// pushing newly stored successors onto the worker's own deque. A
-// re-encountered successor whose depth improves is re-enqueued so the
-// shorter distance propagates; the parent store's expanded claim
-// arbitrates so exactly one expansion of each state contributes to the
-// counters, and the propagation passes run count-suppressed. The
-// consumed entry object returns to the worker's free-list, and the
-// consumed state is retired under the worker's pinned epoch unless a
-// limit truncated the expansion (unconsumed successors then keep it
-// conservative).
+// expand processes one entry, pushing newly stored successors onto the
+// worker's own deque. The parent store's expanded claim arbitrates so
+// exactly one expansion of each state contributes to the counters, and
+// depth-relaxation passes run count-suppressed. The consumed entry
+// object returns to the worker's free-list, and the consumed state is
+// retired under the worker's pinned epoch unless a limit truncated the
+// expansion (unconsumed successors then keep it conservative).
 func (r *stealRun) expand(ent *stealEntry, c *wsCtx, buf []byte) []byte {
 	e := r.e
 	depth, count := r.parents.claimExpansion(ent.d.h1, int32(e.opts.MaxDepth))
 	if int(depth) >= e.opts.MaxDepth {
 		// States at the depth bound exist but are not expanded — the
-		// same truncation point as the DFS and level-synchronous
-		// strategies. Clipping is not a global abort: shallower entries
-		// still queued elsewhere continue to be expanded, and the final
-		// depth scan marks the result truncated once the search drains
-		// (unless a shorter path later relaxes this state below the
-		// bound and re-enqueues it — via the duplicate clone the onDup
-		// hook is handed, never this one, so this clone has left every
-		// live structure and can retire).
+		// same truncation point as DFS. Clipping is not a global abort:
+		// shallower entries still queued elsewhere continue to be
+		// expanded, and the final depth scan marks the result truncated
+		// once the search drains (unless a shorter path later relaxes
+		// this state below the bound and re-enqueues it — via the
+		// duplicate clone that path produced, never this one, so this
+		// clone has left every live structure and can retire).
 		st, d := ent.state, ent.d
 		r.putEntry(c.w, ent)
 		r.retireState(c.w, c.epoch, st, d)
 		return buf
 	}
-	c.childDepth = int(depth) + 1
-	buf, ok := expandShared(e, r.parents, ent.state, ent.d.h1, c.childDepth, buf, count, c.sc, c.enq, c.dup)
+	buf, ok := r.expandState(c, ent.state, ent.d.h1, depth+1, buf, count)
 	if ok {
 		r.retireState(c.w, c.epoch, ent.state, ent.d)
 	}
 	r.putEntry(c.w, ent)
 	return buf
+}
+
+// expandState expands state (fingerprint h1): it records every
+// successor's transition violations, deduplicates successors through
+// the visited store, and for each newly stored successor claims its
+// explored slot, checks its state invariants, links it to its parent
+// at childDepth, and pushes it onto the worker's deque. The parent
+// trail prefix is reconstructed lazily, only when a violation is
+// actually recorded. Expansion routes through engine.expand, so
+// partial-order reduction applies exactly as it does to DFS.
+//
+// count suppresses the matched counter when false: depth-relaxation
+// re-expansions must not perturb the deterministic exploration
+// statistics. A duplicate successor whose depth improves is re-enqueued
+// so the shorter distance propagates (unless relaxation is off); other
+// duplicates were produced by this expansion, shared with nobody, and
+// are recycled on the spot — on diamond-heavy state spaces they are the
+// bulk of the clones, the same place the DFS free-list pays. It returns
+// the (possibly grown) encode buffer and false when a limit was hit
+// (truncated is already set; the caller must not recycle the expanded
+// state or its successor slice — unconsumed entries keep them
+// conservative).
+func (r *stealRun) expandState(c *wsCtx, state State, h1 uint64, childDepth int32, buf []byte, count bool) ([]byte, bool) {
+	e := r.e
+	var prefix []TrailStep // parent trail, reconstructed lazily
+	havePrefix := false
+	record := func(v Violation, tr *Transition) bool {
+		// Reserve before constructing anything: on violation-dense
+		// state spaces nearly every hit is a duplicate, and the trail
+		// walk + copy for a rejected violation is wasted allocation.
+		if !e.reserve(v) {
+			return false
+		}
+		if !havePrefix {
+			prefix = r.parents.trailTo(h1, e.opts.MaxDepth)
+			havePrefix = true
+		}
+		trail := append(append([]TrailStep(nil), prefix...),
+			TrailStep{Label: tr.Label, Steps: tr.Steps, From: state, Key: tr.Key})
+		e.commit(v, trail)
+		return true
+	}
+	// recordAll records vs against tr, reporting (with truncated set)
+	// whether a recorded violation hit a search limit.
+	recordAll := func(vs []Violation, tr *Transition) bool {
+		for _, v := range vs {
+			if record(v, tr) && e.limitHit() {
+				e.truncated.Store(true)
+				return true
+			}
+		}
+		return false
+	}
+
+	var trs []Transition
+	trs, buf = e.expand(state, buf, count)
+	for i := range trs {
+		tr := &trs[i]
+		// Transition-scoped violations belong to this arrival and are
+		// recorded before dedup; state invariants wait for the store.
+		if recordAll(tr.Violations, tr) {
+			return buf, false
+		}
+
+		var d digest
+		d, buf = e.digest(tr.Next, buf)
+		if e.st.seen(d) {
+			if count {
+				c.sc.matched++
+			}
+			if !r.relaxOff && r.parents.relax(d.h1, childDepth) {
+				c.pushState(tr.Next, d)
+			} else if e.frontierRecycle {
+				// A duplicate child that was not re-enqueued never
+				// entered a deque, the parent table, or a recorded
+				// trail (record materializes eagerly): nobody but this
+				// worker has ever seen the clone.
+				e.rec.Recycle(tr.Next)
+				tr.Next = nil
+			}
+			continue
+		}
+		if !count {
+			// A depth-relaxation re-expansion stored this state while
+			// the parent's counted expansion (already claimed, possibly
+			// running on another worker) has yet to reach it; that
+			// expansion will meet the state as a duplicate, so uncount
+			// the match here to keep StatesMatched equal to DFS's.
+			c.sc.matched--
+		}
+		// Newly stored: claim its explored slot, then check its
+		// invariants — once per stored state, never per arrival.
+		if !c.sc.reserveExplored(e) {
+			e.truncated.Store(true)
+			return buf, false
+		}
+		if recordAll(e.sys.Inspect(tr.Next), tr) {
+			return buf, false
+		}
+		r.parents.put(d.h1, parentEdge{parent: h1, label: tr.Label, steps: tr.Steps, key: tr.Key, depth: childDepth})
+		c.pushState(tr.Next, d)
+		if e.limitHit() {
+			e.truncated.Store(true)
+			return buf, false
+		}
+	}
+	if e.frontierRecycle && e.trec != nil {
+		// Every entry was enqueued (its state copied into a deque
+		// entry), recycled above, or pruned inside engine.expand — the
+		// backing array itself is reusable, as on the DFS pop path.
+		e.trec.RecycleTransitions(trs)
+	}
+	return buf, true
 }

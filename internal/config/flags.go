@@ -20,8 +20,6 @@ type Engine struct {
 	GroupParallel bool
 	POR           bool
 	Symmetry      bool
-	Incremental   bool
-	EpochReclaim  bool
 	Failures      bool
 	Faults        bool
 	MaxFaults     int
@@ -40,8 +38,6 @@ type EngineFlags struct {
 	groupParallel *bool
 	por           *bool
 	symmetry      *bool
-	incremental   *bool
-	epochReclaim  *bool
 	failures      *bool
 	faults        *bool
 	maxFaults     *int
@@ -57,19 +53,15 @@ type EngineFlags struct {
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	return &EngineFlags{
 		strategy: fs.String("strategy", "dfs",
-			"checker search strategy: dfs (sequential), parallel (level-synchronous), or steal (work-stealing)"),
+			"checker search strategy: dfs (sequential) or steal (parallel work-stealing)"),
 		workers: fs.Int("workers", 0,
-			"checker goroutines for -strategy parallel/steal and the -group-parallel budget (0 = GOMAXPROCS)"),
+			"checker goroutines for -strategy steal and the -group-parallel budget (0 = GOMAXPROCS)"),
 		groupParallel: fs.Bool("group-parallel", false,
 			"verify independent related sets concurrently under one shared worker budget"),
 		por: fs.Bool("por", false,
 			"partial-order reduction: prune equivalent handler interleavings (concurrent design)"),
 		symmetry: fs.Bool("symmetry", false,
 			"symmetry reduction: fold states related by permutations of interchangeable devices"),
-		incremental: fs.Bool("incremental", true,
-			"incremental state digests: hash only the state-vector blocks each transition dirtied (set to false for the flat encode-and-hash path)"),
-		epochReclaim: fs.Bool("epoch-reclaim", true,
-			"recycle parallel/steal frontier states through epoch-based reclamation (set to false for the allocate-per-state path)"),
 		failures: fs.Bool("failures", false,
 			"enumerate transient device/communication failure modes per command"),
 		faults: fs.Bool("faults", false,
@@ -111,8 +103,6 @@ func (f *EngineFlags) Engine() (Engine, error) {
 		GroupParallel: *f.groupParallel,
 		POR:           *f.por,
 		Symmetry:      *f.symmetry,
-		Incremental:   *f.incremental,
-		EpochReclaim:  *f.epochReclaim,
 		Failures:      *f.failures,
 		Faults:        *f.faults,
 		MaxFaults:     *f.maxFaults,

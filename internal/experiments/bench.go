@@ -38,7 +38,7 @@ func ParallelCheckWorkload() (*model.Model, checker.Options, string, error) {
 	}
 	m, err := model.New(sys, apps, model.Options{
 		MaxEvents: 3, CheckConflicts: true, Invariants: invs,
-		Incremental: engineIncremental,
+		Incremental: true,
 	})
 	if err != nil {
 		return nil, checker.Options{}, "", err
@@ -108,7 +108,7 @@ func PORWorkload() (*model.Model, checker.Options, string, error) {
 	}
 	m, err := model.New(sys, apps, model.Options{
 		MaxEvents: 2, CheckConflicts: true, Invariants: invs, Design: model.Concurrent,
-		Incremental: engineIncremental,
+		Incremental: true,
 	})
 	if err != nil {
 		return nil, checker.Options{}, "", err
@@ -189,7 +189,7 @@ func SymmetryWorkload() (*model.Model, checker.Options, string, error) {
 	m, err := model.New(sys, apps, model.Options{
 		MaxEvents: 2, CheckConflicts: true, Invariants: invs,
 		Design: model.Concurrent, Symmetry: true,
-		Incremental: engineIncremental,
+		Incremental: true,
 	})
 	if err != nil {
 		return nil, checker.Options{}, "", err
@@ -267,7 +267,7 @@ func FaultWorkload(faults bool, maxFaults int) (*model.Model, checker.Options, s
 	m, err := model.New(sys, apps, model.Options{
 		MaxEvents: 2, CheckConflicts: true, CheckRobustness: faults, Invariants: invs,
 		Faults: faults, MaxFaults: maxFaults,
-		Incremental: engineIncremental,
+		Incremental: true,
 	})
 	if err != nil {
 		return nil, checker.Options{}, "", err
@@ -289,7 +289,7 @@ func GroupModel(sys *config.System, apps map[string]*ir.App) (*model.Model, erro
 	}
 	return model.New(sys, apps, model.Options{
 		MaxEvents: 2, CheckConflicts: true, Invariants: invs,
-		Incremental: engineIncremental,
+		Incremental: true,
 	})
 }
 

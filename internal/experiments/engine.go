@@ -13,8 +13,6 @@ var (
 	engineGroupParallel bool
 	enginePOR           bool
 	engineSymmetry      bool
-	engineIncremental   = true
-	engineEpochReclaim  = true
 	engineFailures      bool
 	engineFaults        bool
 	engineMaxFaults     int
@@ -26,7 +24,7 @@ var (
 )
 
 // SetEngine selects the checker engine used by the Run* experiments
-// (workers 0 = GOMAXPROCS for the parallel strategies).
+// (workers 0 = GOMAXPROCS for the work-stealing strategy).
 func SetEngine(strategy iotsan.Strategy, workers int) {
 	engineStrategy = strategy
 	engineWorkers = workers
@@ -42,17 +40,6 @@ func SetPOR(on bool) { enginePOR = on }
 // SetSymmetry enables symmetry reduction over interchangeable devices
 // for the Run* experiments.
 func SetSymmetry(on bool) { engineSymmetry = on }
-
-// SetIncremental toggles the incremental block-hash state digest for
-// the Run* experiments and the benchmark workloads (default on,
-// mirroring the -incremental flag).
-func SetIncremental(on bool) { engineIncremental = on }
-
-// SetEpochReclaim toggles frontier-state recycling (epoch-based
-// reclamation on the parallel strategies) for the Run* experiments and
-// the benchmark workloads (default on, mirroring the -epoch-reclaim
-// flag).
-func SetEpochReclaim(on bool) { engineEpochReclaim = on }
 
 // SetFailures enables transient device/communication failure
 // enumeration for the Run* experiments (additive: experiments that
@@ -93,8 +80,6 @@ func engineOptions(o iotsan.Options) iotsan.Options {
 	o.GroupParallel = engineGroupParallel
 	o.POR = enginePOR
 	o.Symmetry = engineSymmetry
-	o.NoIncremental = !engineIncremental
-	o.NoEpochReclaim = !engineEpochReclaim
 	if engineFailures {
 		o.Failures = true
 	}

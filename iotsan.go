@@ -68,18 +68,14 @@ const (
 	// StrategyDFS is the sequential depth-first search (default):
 	// deterministic exploration order and trails.
 	StrategyDFS = checker.StrategyDFS
-	// StrategyParallel is the parallel breadth-first frontier search:
-	// Workers goroutines expand states concurrently over a sharded
-	// visited store.
-	StrategyParallel = checker.StrategyParallel
-	// StrategySteal is the work-stealing frontier search: per-worker
-	// Chase–Lev deques with no per-level barrier; under GroupParallel
-	// it dynamically absorbs worker budget freed by finished groups.
+	// StrategySteal is the parallel work-stealing frontier search:
+	// Workers goroutines with per-worker Chase–Lev deques over a
+	// sharded visited store; under GroupParallel it dynamically absorbs
+	// worker budget freed by finished groups.
 	StrategySteal = checker.StrategySteal
 )
 
-// ParseStrategy maps a strategy name ("dfs", "parallel", "steal") to
-// its kind.
+// ParseStrategy maps a strategy name ("dfs", "steal") to its kind.
 func ParseStrategy(name string) (Strategy, error) { return checker.ParseStrategy(name) }
 
 // StoreSelector selects the checker's visited-state store.
@@ -156,11 +152,10 @@ type Options struct {
 	// fall back to a fresh search.
 	Resume bool
 	// Strategy selects the checker search strategy (StrategyDFS
-	// default; StrategyParallel and StrategySteal use Workers
-	// goroutines).
+	// default; StrategySteal uses Workers goroutines).
 	Strategy Strategy
-	// Workers is the number of checker goroutines for StrategyParallel
-	// and StrategySteal (0 = GOMAXPROCS). With GroupParallel it also
+	// Workers is the number of checker goroutines for StrategySteal
+	// (0 = GOMAXPROCS). With GroupParallel it also
 	// sizes the worker budget shared by all concurrently running
 	// related-set verifications.
 	Workers int
@@ -184,12 +179,12 @@ type Options struct {
 	// visited store on a canonical encoding that folds states related by
 	// within-orbit permutations into one representative. The
 	// distinct-violation set is preserved exactly — a CI gate enforces it
-	// on the whole corpus across all strategies — while the explored
+	// on the whole corpus for both strategies — while the explored
 	// state space shrinks with the number of interchangeable devices.
 	// Composes multiplicatively with POR (reduction happens on the same
-	// canonical store the POR proviso probes) and with both parallel
-	// levels. Trails still replay on the raw model: frontier states and
-	// parent-link replay keys stay concrete.
+	// canonical store the POR proviso probes), with StrategySteal, and
+	// with GroupParallel. Trails still replay on the raw model: frontier
+	// states and parent-link replay keys stay concrete.
 	Symmetry bool
 	// GroupParallel verifies independent related sets concurrently
 	// under one shared worker budget of Workers tokens instead of
@@ -213,16 +208,15 @@ type Options struct {
 	Interpreter bool
 	// NoIncremental disables the incremental block-hash state digest
 	// (states then re-encode the full vector per digest). The zero
-	// value keeps incremental digests ON — the flag is an escape hatch,
-	// mirroring the -incremental CLI default.
+	// value keeps incremental digests ON; the flag is the flat-digest
+	// oracle of the walk-equivalence gates.
 	NoIncremental bool
-	// NoEpochReclaim disables state recycling on the parallel checker
-	// strategies (dead duplicate children recycled in place; consumed,
-	// fully expanded frontier states retired through the per-worker
-	// epoch-based reclamation layer). The zero value keeps reclamation
-	// ON — the flag is an A/B escape hatch, mirroring the
-	// -epoch-reclaim CLI default. Sequential DFS free-lists are
-	// unaffected.
+	// NoEpochReclaim disables state recycling on StrategySteal (dead
+	// duplicate children recycled in place; consumed, fully expanded
+	// frontier states retired through the per-worker epoch-based
+	// reclamation layer). The zero value keeps reclamation ON; the flag
+	// is the allocate-per-state oracle of the recycle-equivalence
+	// gates. Sequential DFS free-lists are unaffected.
 	NoEpochReclaim bool
 }
 

@@ -1,7 +1,7 @@
 // Equivalence and reduction gates for partial-order reduction: POR may
 // only prune interleavings, never violations. Every corpus group is
 // verified under the concurrent design with POR off (the oracle) and
-// with POR on, across all three search strategies — and through the
+// with POR on, under both search strategies — and through the
 // group scheduler with and without GroupParallel — and the distinct
 // violation sets must be identical. A separate gate asserts the
 // reduction actually pays: on a multi-event group the explored state
@@ -67,9 +67,8 @@ var porCorpusConfigs = [6]struct{ napps, events int }{
 }
 
 // TestPORViolationEquivalenceCorpus: on every corpus group, POR
-// preserves the distinct-violation set exactly — under DFS, the
-// level-synchronous parallel strategy, and work-stealing — and never
-// explores more states than the full search.
+// preserves the distinct-violation set exactly — under DFS and
+// work-stealing — and never explores more states than the full search.
 func TestPORViolationEquivalenceCorpus(t *testing.T) {
 	for g := 1; g <= 6; g++ {
 		g := g
@@ -86,7 +85,7 @@ func TestPORViolationEquivalenceCorpus(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatal("oracle found no violations — the equivalence check is vacuous")
 			}
-			for _, strat := range []checker.StrategyKind{checker.StrategyDFS, checker.StrategyParallel, checker.StrategySteal} {
+			for _, strat := range []checker.StrategyKind{checker.StrategyDFS, checker.StrategySteal} {
 				o := base
 				o.Strategy = strat
 				o.Workers = 2
@@ -121,7 +120,7 @@ func TestPORViolationEquivalenceCorpus(t *testing.T) {
 // violation set with POR on, for every strategy, with GroupParallel off
 // and on.
 func TestPORGroupSchedulerEquivalence(t *testing.T) {
-	// A 12-app prefix keeps the 7 full-pipeline runs (oracle + three
+	// A 12-app prefix keeps the 5 full-pipeline runs (oracle + two
 	// strategies × two scheduler modes) within CI budget while still
 	// decomposing into several related sets.
 	sources := corpus.Group(1)[:12]
@@ -141,7 +140,7 @@ func TestPORGroupSchedulerEquivalence(t *testing.T) {
 		t.Fatal("oracle found no violations — the equivalence check is vacuous")
 	}
 
-	for _, strat := range []iotsan.Strategy{iotsan.StrategyDFS, iotsan.StrategyParallel, iotsan.StrategySteal} {
+	for _, strat := range []iotsan.Strategy{iotsan.StrategyDFS, iotsan.StrategySteal} {
 		for _, groupParallel := range []bool{false, true} {
 			name := fmt.Sprintf("strategy=%v group-parallel=%v", strat, groupParallel)
 			o := base

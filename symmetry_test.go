@@ -2,7 +2,7 @@
 // reduction: folding isomorphic device-permutation states may shrink
 // the explored space, never the distinct-violation set. Every corpus
 // group is verified under the concurrent design with symmetry off (the
-// oracle) and on, across all three search strategies; the full pipeline
+// oracle) and on, under both search strategies; the full pipeline
 // is exercised with the group scheduler in both modes; and the
 // interchangeable-device group must fold at least 30% of its states
 // while every reported trail still replays on the raw model.
@@ -65,8 +65,8 @@ func symWorkloadModel(t *testing.T) *model.Model {
 
 // TestSymmetryViolationEquivalenceCorpus: on every corpus group,
 // symmetry reduction preserves the distinct-violation set exactly —
-// under DFS, the level-synchronous parallel strategy, and
-// work-stealing — and never explores more states than the full search.
+// under DFS and work-stealing — and never explores more states than
+// the full search.
 func TestSymmetryViolationEquivalenceCorpus(t *testing.T) {
 	for g := 1; g <= 6; g++ {
 		g := g
@@ -83,7 +83,7 @@ func TestSymmetryViolationEquivalenceCorpus(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatal("oracle found no violations — the equivalence check is vacuous")
 			}
-			for _, strat := range []checker.StrategyKind{checker.StrategyDFS, checker.StrategyParallel, checker.StrategySteal} {
+			for _, strat := range []checker.StrategyKind{checker.StrategyDFS, checker.StrategySteal} {
 				o := base
 				o.Strategy = strat
 				o.Workers = 2
@@ -114,7 +114,7 @@ func TestSymmetryViolationEquivalenceCorpus(t *testing.T) {
 
 // TestSymmetryViolationEquivalenceInterchangeable: the same gate on the
 // dedicated interchangeable-device group — where the orbits are large
-// and folding is heavy — under both concurrency designs, all three
+// and folding is heavy — under both concurrency designs, both
 // strategies, and composed with POR.
 func TestSymmetryViolationEquivalenceInterchangeable(t *testing.T) {
 	for _, design := range []model.Design{model.Sequential, model.Concurrent} {
@@ -145,7 +145,7 @@ func TestSymmetryViolationEquivalenceInterchangeable(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatal("oracle found no violations — the equivalence check is vacuous")
 			}
-			for _, strat := range []checker.StrategyKind{checker.StrategyDFS, checker.StrategyParallel, checker.StrategySteal} {
+			for _, strat := range []checker.StrategyKind{checker.StrategyDFS, checker.StrategySteal} {
 				for _, por := range []bool{false, true} {
 					if por && design != model.Concurrent {
 						continue // POR engages only in the concurrent design
@@ -191,7 +191,7 @@ func TestSymmetryGroupSchedulerEquivalence(t *testing.T) {
 		t.Fatal("oracle found no violations — the equivalence check is vacuous")
 	}
 
-	for _, strat := range []iotsan.Strategy{iotsan.StrategyDFS, iotsan.StrategyParallel, iotsan.StrategySteal} {
+	for _, strat := range []iotsan.Strategy{iotsan.StrategyDFS, iotsan.StrategySteal} {
 		for _, groupParallel := range []bool{false, true} {
 			name := fmt.Sprintf("strategy=%v group-parallel=%v", strat, groupParallel)
 			o := base

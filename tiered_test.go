@@ -5,7 +5,7 @@
 // exhaustive store (keyed on the digest's first hash), so every search
 // must be step-for-step identical — explored/matched/stored counts,
 // distinct violations, and DFS trails — across all corpus groups, all
-// reduction modes (plain, POR, symmetry, POR+symmetry), and all three
+// reduction modes (plain, POR, symmetry, POR+symmetry), and both
 // strategies, with a memory budget tiny enough that most fingerprints
 // actually spill mid-search. A kill/resume round trip on a real corpus
 // model (exercising the block-delta checkpoint codec) rides along.
@@ -73,11 +73,11 @@ type modelSystem interface {
 }
 
 // TestTieredStoreEquivalence: the full matrix — every corpus group ×
-// {plain, POR, symmetry, POR+symmetry} × {dfs, parallel, steal} — with
+// {plain, POR, symmetry, POR+symmetry} × {dfs, steal} — with
 // spill engaged. CI runs group1 under the race detector and the whole
 // matrix without it.
 func TestTieredStoreEquivalence(t *testing.T) {
-	strategies := []checker.StrategyKind{checker.StrategyDFS, checker.StrategyParallel, checker.StrategySteal}
+	strategies := []checker.StrategyKind{checker.StrategyDFS, checker.StrategySteal}
 	modes := []struct{ por, sym bool }{{false, false}, {true, false}, {false, true}, {true, true}}
 	for g := 1; g <= 6; g++ {
 		g := g
