@@ -81,10 +81,6 @@ type engine struct {
 	// Options.Checkpoint and a StoreDir, no uncertified reducer).
 	wal *wal
 
-	// bufs pools the state-vector encode buffers; workers check one out
-	// per expansion batch instead of allocating per state.
-	bufs sync.Pool
-
 	explored    atomic.Int64
 	matched     atomic.Int64
 	maxDepth    atomic.Int64
@@ -142,14 +138,10 @@ func newEngine(sys System, opts Options) *engine {
 
 		delta: dc,
 
-		opts:   opts,
-		st:     newStore(opts, opts.Strategy != StrategyDFS),
-		start:  time.Now(),
-		needH2: (opts.Store == Bitstate || opts.Store == Tiered) && !opts.NoDedup,
-		bufs: sync.Pool{New: func() any {
-			b := make([]byte, 0, 512)
-			return &b
-		}},
+		opts:     opts,
+		st:       newStore(opts, opts.Strategy != StrategyDFS),
+		start:    time.Now(),
+		needH2:   (opts.Store == Bitstate || opts.Store == Tiered) && !opts.NoDedup,
 		distinct: map[Violation]bool{},
 	}
 	e.tiered, _ = e.st.(*tieredStore)
@@ -220,8 +212,17 @@ func (e *engine) digest(s State, buf []byte) (digest, []byte) {
 	return d, buf
 }
 
-func (e *engine) getBuf() *[]byte  { return e.bufs.Get().(*[]byte) }
-func (e *engine) putBuf(b *[]byte) { e.bufs.Put(b) }
+// encodeBufs pools the state-vector encode buffers; workers check one
+// out per expansion batch instead of allocating per state. The pool is
+// process-wide and its buffers reference no engine, so a finished
+// search is collectable at the next GC.
+var encodeBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+func getBuf() *[]byte  { return encodeBufs.Get().(*[]byte) }
+func putBuf(b *[]byte) { encodeBufs.Put(b) }
 
 // record registers a violation if its (property, detail) pair is new,
 // reporting whether it was recorded. The trail is copied. The
@@ -519,10 +520,10 @@ func (e *engine) noteDepth(d int) {
 // its digest.
 func (e *engine) visitInitial() (State, digest) {
 	init := e.sys.Initial()
-	buf := e.getBuf()
+	buf := getBuf()
 	d, b := e.digest(init, *buf)
 	*buf = b
-	e.putBuf(buf)
+	putBuf(buf)
 	if !e.st.seen(d) {
 		e.logVisit(d)
 	}

@@ -23,8 +23,8 @@ type dfsFrame struct {
 
 func (s sequentialDFS) search(e *engine) {
 	var trail []TrailStep
-	bufp := e.getBuf()
-	defer e.putBuf(bufp)
+	bufp := getBuf()
+	defer putBuf(bufp)
 	buf := *bufp
 	defer func() { *bufp = buf }()
 

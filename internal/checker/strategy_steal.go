@@ -540,8 +540,8 @@ func (c *wsCtx) pushState(st State, d digest) {
 // workers additionally retire when persistently idle.
 func (r *stealRun) work(w int, ownsToken bool) {
 	e := r.e
-	bufp := e.getBuf()
-	defer e.putBuf(bufp)
+	bufp := getBuf()
+	defer putBuf(bufp)
 	buf := *bufp
 	defer func() { *bufp = buf }()
 

@@ -88,7 +88,7 @@ func TestCascadeZeroAllocs(t *testing.T) {
 		t.Fatalf("motion values missing: %v", d.Attrs[ai].Values)
 	}
 
-	x := m.newPooledExecutor()
+	x := m.getExec(s, failNone, false)
 	val := active
 	run := func() {
 		s.Cmds = s.Cmds[:0]

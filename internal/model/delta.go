@@ -81,16 +81,16 @@ func (m *Model) DeltaEncode(child, parent *State, buf []byte) []byte {
 	mw := maskWords(nb)
 
 	// Pass 1: byte-compare per-block encodings to build the dirty mask.
-	cbp := m.encBufs.Get().(*[]byte)
-	pbp := m.encBufs.Get().(*[]byte)
+	cbp := encBufs.Get().(*[]byte)
+	pbp := encBufs.Get().(*[]byte)
 	cb, pb := *cbp, *pbp
 	var mask [8]uint64 // nBlocks ≤ 512 covers any realistic config
 	if mw > len(mask) {
 		buf = append(buf[:0], deltaTagFull)
 		buf = child.Encode(buf)
 		*cbp, *pbp = cb, pb
-		m.encBufs.Put(cbp)
-		m.encBufs.Put(pbp)
+		encBufs.Put(cbp)
+		encBufs.Put(pbp)
 		return buf
 	}
 	for b := 0; b < nb; b++ {
@@ -116,8 +116,8 @@ func (m *Model) DeltaEncode(child, parent *State, buf []byte) []byte {
 		buf = append(buf, cb...)
 	}
 	*cbp, *pbp = cb, pb
-	m.encBufs.Put(cbp)
-	m.encBufs.Put(pbp)
+	encBufs.Put(cbp)
+	encBufs.Put(pbp)
 	return buf
 }
 

@@ -57,10 +57,10 @@ type cyberEvent struct {
 
 // executor runs handler cascades against a state; it implements
 // eval.Host for the app whose handler is currently executing. Executors
-// are pooled on the Model: all per-cascade storage (queue, step log,
-// notification flags, the compiled-execution Env) retains its capacity
-// across transitions, so taking a transition performs no executor
-// allocations.
+// are pooled process-wide (execPool) as unbound shells: all per-cascade
+// storage (queue, step log, notification flags, the compiled-execution
+// Env) retains its capacity across transitions, so taking a transition
+// performs no executor allocations.
 type executor struct {
 	m *Model
 	s *State
@@ -94,18 +94,13 @@ type executor struct {
 	evt    eval.Event
 }
 
-func (m *Model) newPooledExecutor() *executor {
-	return &executor{
-		m:        m,
-		notified: make([]bool, len(m.Apps)),
-		dropped:  make([]bool, len(m.Apps)),
-	}
-}
-
-// getExec checks an executor out of the pool, bound to a state and
-// failure mode.
+// getExec checks an executor out of the pool, bound to the model, a
+// state and a failure mode.
 func (m *Model) getExec(s *State, fm failMode, record bool) *executor {
-	x := m.execs.Get().(*executor)
+	x := execPool.Get().(*executor)
+	x.m = m
+	x.notified = resize(x.notified, len(m.Apps))
+	x.dropped = resize(x.dropped, len(m.Apps))
 	x.reset(s, fm, record)
 	return x
 }
@@ -129,12 +124,15 @@ func (x *executor) reset(s *State, fm failMode, record bool) {
 	}
 }
 
-// putExec returns an executor to the pool. Slices that escaped into the
-// transition (violations, recorded steps) must be taken with
-// takeViolations/takeSteps first.
+// putExec returns an executor to the pool, unbound from the model and
+// state so the pool never keeps a finished model alive. Slices that
+// escaped into the transition (violations, recorded steps) must be
+// taken with takeViolations/takeSteps first.
 func (m *Model) putExec(x *executor) {
-	x.s = nil
-	m.execs.Put(x)
+	x.m, x.s = nil, nil
+	x.env.Reset(nil, nil)
+	x.interp = eval.Evaluator{}
+	execPool.Put(x)
 }
 
 // takeViolations hands ownership of the violation slice to the caller

@@ -70,12 +70,12 @@ func (a sysAdapter) IncrementalDigest(s checker.State, canonical bool) (uint64, 
 func (a sysAdapter) HasIncremental() bool { return a.m.Opts.Incremental }
 
 // Recycle implements checker.StateRecycler: dead states go onto the
-// model's free-list and Clone reuses their backing storage.
+// free-list and Clone reuses their backing storage.
 //
 //iotsan:retires s
 func (a sysAdapter) Recycle(s checker.State) {
-	if st, ok := s.(*State); ok && st.pool != nil {
-		st.pool.Put(st)
+	if st, ok := s.(*State); ok {
+		statePool.Put(st)
 	}
 }
 
@@ -89,7 +89,7 @@ func (a sysAdapter) RecycleTransitions(trs []checker.Transition) {
 		return
 	}
 	trs = trs[:0]
-	a.m.trPool.Put(&trs)
+	trPool.Put(&trs)
 }
 
 // CertifiesProgress implements checker.ProgressCertifier. The reducer's
@@ -240,7 +240,7 @@ func (m *Model) Expand(s *State) []checker.Transition {
 		timers += len(s.Apps[ai].Timers)
 	}
 	var out []checker.Transition
-	if v := m.trPool.Get(); v != nil {
+	if v := trPool.Get(); v != nil {
 		out = (*v.(*[]checker.Transition))[:0]
 	} else {
 		out = make([]checker.Transition, 0, len(s.Queue)+(len(m.external)+timers)*nfm)

@@ -207,7 +207,7 @@ func (m *Model) refreshBlocks(s *State) {
 	if !anyDirty {
 		return
 	}
-	bp := m.encBufs.Get().(*[]byte)
+	bp := encBufs.Get().(*[]byte)
 	buf := *bp
 	nDev, nApp := len(s.Devices), len(s.Apps)
 	for wi, word := range s.dirtyMask {
@@ -235,7 +235,7 @@ func (m *Model) refreshBlocks(s *State) {
 		s.dirtyMask[wi] = 0
 	}
 	*bp = buf
-	m.encBufs.Put(bp)
+	encBufs.Put(bp)
 }
 
 // IncrementalDigest returns the engine digest of s computed from the
@@ -280,7 +280,7 @@ func (m *Model) IncrementalDigest(s *State, canonical bool) (uint64, uint64) {
 //
 //iotsan:digest-funnel
 func (m *Model) flatCanonicalDigest(s *State) (uint64, uint64) {
-	bp := m.encBufs.Get().(*[]byte)
+	bp := encBufs.Get().(*[]byte)
 	buf := m.CanonicalEncode(s, (*bp)[:0])
 	// One fused pass: h1 is fnv1a64(buf); h2 runs the blockMix-style
 	// second accumulator over the same bytes, splitmix-finalised so the
@@ -291,7 +291,7 @@ func (m *Model) flatCanonicalDigest(s *State) (uint64, uint64) {
 		h2 = (h2 ^ uint64(c)) * mixMult
 	}
 	*bp = buf
-	m.encBufs.Put(bp)
+	encBufs.Put(bp)
 	return h1, splitmix64(h2)
 }
 
@@ -303,7 +303,7 @@ func (m *Model) flatCanonicalDigest(s *State) (uint64, uint64) {
 //
 //iotsan:digest-funnel
 func (m *Model) canonicalFold(s *State) (uint64, uint64) {
-	cs := m.sym.scratch.Get().(*canonScratch)
+	cs := m.getCanonScratch()
 	cv := m.buildCanonView(s, cs)
 	nDev := len(s.Devices)
 
@@ -326,7 +326,7 @@ func (m *Model) canonicalFold(s *State) (uint64, uint64) {
 			continue
 		}
 		if bp == nil {
-			bp = m.encBufs.Get().(*[]byte)
+			bp = encBufs.Get().(*[]byte)
 			buf = *bp
 		}
 		buf = buf[:0]
@@ -337,7 +337,7 @@ func (m *Model) canonicalFold(s *State) (uint64, uint64) {
 		mx.mix(s.blockHash[s.queueBlock()])
 	} else {
 		if bp == nil {
-			bp = m.encBufs.Get().(*[]byte)
+			bp = encBufs.Get().(*[]byte)
 			buf = *bp
 		}
 		buf = encodeQueue(buf[:0], cv.queue)
@@ -347,7 +347,7 @@ func (m *Model) canonicalFold(s *State) (uint64, uint64) {
 		mx.mix(s.blockHash[s.cmdsBlock()])
 	} else {
 		if bp == nil {
-			bp = m.encBufs.Get().(*[]byte)
+			bp = encBufs.Get().(*[]byte)
 			buf = *bp
 		}
 		buf = encodeCmds(buf[:0], cv.cmds, cv.inFlight)
@@ -355,8 +355,8 @@ func (m *Model) canonicalFold(s *State) (uint64, uint64) {
 	}
 	if bp != nil {
 		*bp = buf
-		m.encBufs.Put(bp)
+		encBufs.Put(bp)
 	}
-	m.sym.scratch.Put(cs)
+	canonScratchPool.Put(cs)
 	return mx.sum()
 }

@@ -265,26 +265,6 @@ type Model struct {
 	byCap   map[string][]*DevInst
 	byAssoc map[string][]*DevInst
 
-	// execs pools executors (with their compiled-execution Envs) so a
-	// transition costs no executor allocations.
-	execs sync.Pool
-
-	// encBufs pools the incremental digest's block-encode scratch
-	// buffers (refreshing a dirty block re-encodes just that block into
-	// one of these).
-	encBufs sync.Pool
-
-	// statePool is the free-list of dead states the checker hands back
-	// (checker.StateRecycler): Clone reuses their backing storage, which
-	// removes most per-child allocation on the expansion hot path. Zero
-	// value works — Get simply returns nil until something is recycled.
-	statePool sync.Pool
-
-	// trPool is the matching free-list of successor-slice backing
-	// arrays (checker.TransitionRecycler): the DFS returns each frame's
-	// consumed []Transition on pop and Expand reuses it.
-	trPool sync.Pool
-
 	// por is the partial-order-reduction table (concurrent design only;
 	// nil otherwise). Built at New; consulted only when the checker runs
 	// with Options.POR.
@@ -296,6 +276,47 @@ type Model struct {
 	// routes its visited-store digests through under its own
 	// Options.Symmetry.
 	sym *symData
+}
+
+// The free lists are process-wide and no pooled item references the
+// model that last used it, so a finished model is collectable at the
+// next GC (the pool rule, internal/analysis/INVARIANTS.md).
+var (
+	// execPool pools executors (with their compiled-execution Envs) so
+	// a transition costs no executor allocations; getExec binds one to
+	// a model.
+	execPool = sync.Pool{New: func() any { return new(executor) }}
+
+	// encBufs pools the incremental digest's block-encode scratch
+	// buffers (a dirty block re-encodes into one of these).
+	encBufs = sync.Pool{New: func() any {
+		b := make([]byte, 0, 256)
+		return &b
+	}}
+
+	// statePool is the free-list of dead states the checker hands back
+	// (checker.StateRecycler): Clone reuses their backing storage, which
+	// removes most per-child allocation on the expansion hot path.
+	statePool sync.Pool
+
+	// trPool is the matching free-list of successor-slice backing
+	// arrays (checker.TransitionRecycler): the DFS returns each frame's
+	// consumed []Transition on pop and Expand reuses it.
+	trPool sync.Pool
+
+	// canonScratchPool holds the canonical path's working sets (see
+	// getCanonScratch).
+	canonScratchPool sync.Pool
+)
+
+// resize returns s with length n, reusing its capacity when it suffices;
+// pooled items are resized to the shape of the model that checks them
+// out.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // subKey indexes resolved subscriptions by event source and attribute.
@@ -337,10 +358,6 @@ func New(cfg *config.System, apps map[string]*ir.App, opts Options) (*Model, err
 		opts.MaxEvents = 3
 	}
 	m := &Model{Cfg: cfg, Opts: opts}
-	m.encBufs.New = func() any {
-		b := make([]byte, 0, 256)
-		return &b
-	}
 
 	for i, d := range cfg.Devices {
 		dm := device.ModelByName(d.Model)
@@ -452,7 +469,6 @@ func New(cfg *config.System, apps map[string]*ir.App, opts Options) (*Model, err
 			m.byAssoc[d.Assoc] = append(m.byAssoc[d.Assoc], d)
 		}
 	}
-	m.execs.New = func() any { return m.newPooledExecutor() }
 	if opts.Design == Concurrent {
 		m.buildPOR()
 	}

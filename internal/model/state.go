@@ -3,7 +3,6 @@ package model
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 
 	"iotsan/internal/ir"
 )
@@ -147,12 +146,6 @@ type State struct {
 	blockHash  []uint64
 	dirtyMask  []uint64
 	devRefMask []uint64
-
-	// pool is the model's free-list of dead states (see Model.statePool):
-	// Clone draws recycled states from it and reuses their backing
-	// storage instead of allocating. Carried by every clone; nil for
-	// states built outside a model.
-	pool *sync.Pool
 }
 
 // Initial builds the initial state from the configuration: devices at
@@ -205,7 +198,6 @@ func (m *Model) Initial() *State {
 	if m.Opts.Incremental {
 		s.initCache()
 	}
-	s.pool = &m.statePool
 	return s
 }
 
@@ -260,33 +252,35 @@ type errInvalid string
 
 func (e errInvalid) Error() string { return string(e) }
 
-// Clone deep-copies the state. When the model's free-list holds a
-// recycled dead state (see checker.StateRecycler), its backing storage
-// is reused and the clone performs no allocations beyond container
-// values; otherwise the flat attribute and slot backing arrays are each
-// copied with one allocation and per-device/per-app headers re-sliced
-// onto them.
+// Clone deep-copies the state. When the free-list holds a recycled dead
+// state (see checker.StateRecycler), Clone reuses its backing storage,
+// growing it only when the recycled state came from a smaller model, and
+// performs no allocations beyond container values. Otherwise the flat
+// attribute and slot backing arrays are each copied with one allocation
+// and per-device/per-app headers re-sliced onto them.
 func (s *State) Clone() *State {
-	if s.pool != nil {
-		if v := s.pool.Get(); v != nil {
-			return s.cloneInto(v.(*State))
-		}
+	if v := statePool.Get(); v != nil {
+		return s.cloneInto(v.(*State))
 	}
 	return s.cloneFresh()
 }
 
 // cloneInto deep-copies s into the recycled state n, reusing n's
-// backing arrays (same model, so the shapes match — checked anyway so a
-// foreign state degrades to a fresh clone instead of corrupting). The
-// per-device and per-app headers are rebuilt from flat offsets, never
-// trusted from n's previous life.
+// backing arrays where their capacity suffices. The free-list is
+// process-wide, so n may come from a model of another shape: it is
+// resized to s's shape, and the per-device and per-app headers are
+// rebuilt from flat offsets, never trusted from n's previous life.
 //
 //iotsan:allow dirtymark -- clone replicates already-hashed content and copies the source's block cache, dirty mask included
 func (s *State) cloneInto(n *State) *State {
-	if len(n.Devices) != len(s.Devices) || len(n.Apps) != len(s.Apps) ||
-		len(n.attrs) != len(s.attrs) || len(n.slots) != len(s.slots) ||
-		len(n.reported) != len(s.reported) {
-		return s.cloneFresh()
+	n.Devices = resize(n.Devices, len(s.Devices))
+	n.Apps = resize(n.Apps, len(s.Apps))
+	n.attrs = resize(n.attrs, len(s.attrs))
+	n.slots = resize(n.slots, len(s.slots))
+	if len(s.reported) == 0 {
+		n.reported = nil // faults off: Reported stays nil, as in cloneFresh
+	} else {
+		n.reported = resize(n.reported, len(s.reported))
 	}
 	n.Time, n.Mode, n.EventsUsed = s.Time, s.Mode, s.EventsUsed
 	n.FaultsUsed = s.FaultsUsed
@@ -336,14 +330,13 @@ func (s *State) cloneInto(n *State) *State {
 	switch {
 	case s.blockHash == nil:
 		n.blockHash, n.dirtyMask, n.devRefMask = nil, nil, nil
-	case n.blockHash == nil || len(n.blockHash) != len(s.blockHash):
+	case len(n.blockHash) != len(s.blockHash) || len(n.devRefMask) != len(s.devRefMask):
 		n.cloneCacheFrom(s)
 	default:
 		copy(n.blockHash, s.blockHash)
 		copy(n.dirtyMask, s.dirtyMask)
 		copy(n.devRefMask, s.devRefMask)
 	}
-	n.pool = s.pool
 	return n
 }
 
@@ -409,7 +402,6 @@ func (s *State) cloneFresh() *State {
 	if s.blockHash != nil {
 		n.cloneCacheFrom(s)
 	}
-	n.pool = s.pool
 	return n
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"iotsan/internal/device"
 	"iotsan/internal/eval"
@@ -87,8 +86,6 @@ type symData struct {
 	// than the re-hash it avoids, so buildSymmetry sets this when every
 	// orbit is at most flatCanonMaxOrbit devices.
 	flatCanon bool
-
-	scratch sync.Pool // *canonScratch
 }
 
 // flatCanonMaxOrbit is the orbit-size threshold below which the
@@ -308,17 +305,6 @@ func (m *Model) buildSymmetry() {
 		}
 	}
 	p.flatCanon = largest <= flatCanonMaxOrbit
-
-	p.scratch.New = func() any {
-		return &canonScratch{
-			view: canonView{
-				order:  make([]int32, nd),
-				devMap: make([]int32, nd),
-			},
-			prof:       make([][]byte, nd),
-			itemsByDev: make([][]itemSpan, nd),
-		}
-	}
 	m.sym = p
 }
 
@@ -336,8 +322,8 @@ func deviceHasCommands(d *DevInst) bool {
 
 // canonScratch is the reusable per-encode working set of the canonical
 // path: the permutation view, per-device profile keys, and the sorting
-// arenas. Checked out of symData.scratch so concurrent expansions never
-// share one.
+// arenas. Checked out of canonScratchPool (getCanonScratch) so
+// concurrent expansions never share one.
 type canonScratch struct {
 	view    canonView
 	prof    [][]byte // device index → profile key (orbit devices only)
@@ -368,6 +354,22 @@ type canonScratch struct {
 	refHdr []byte
 }
 
+// getCanonScratch checks a canonical working set out of the pool, sized
+// to the model's devices. itemsByDev buckets are empty between uses
+// (buildCanonView resets the touched ones), so resizing suffices.
+func (m *Model) getCanonScratch() *canonScratch {
+	cs, _ := canonScratchPool.Get().(*canonScratch)
+	if cs == nil {
+		cs = new(canonScratch)
+	}
+	nd := len(m.Devices)
+	cs.view.order = resize(cs.view.order, nd)
+	cs.view.devMap = resize(cs.view.devMap, nd)
+	cs.prof = resize(cs.prof, nd)
+	cs.itemsByDev = resize(cs.itemsByDev, nd)
+	return cs
+}
+
 // addItem appends the arena span [start, len(arena)) to device d's
 // profile-item bucket.
 func (cs *canonScratch) addItem(d, start int) {
@@ -393,10 +395,10 @@ func (m *Model) CanonicalEncode(s *State, buf []byte) []byte {
 	if m.sym == nil {
 		return s.Encode(buf)
 	}
-	cs := m.sym.scratch.Get().(*canonScratch)
+	cs := m.getCanonScratch()
 	cv := m.buildCanonView(s, cs)
 	buf = s.encode(buf, cv)
-	m.sym.scratch.Put(cs)
+	canonScratchPool.Put(cs)
 	return buf
 }
 
@@ -412,7 +414,7 @@ func (m *Model) Canonicalize(s *State) *State {
 	if m.sym == nil {
 		return n
 	}
-	cs := m.sym.scratch.Get().(*canonScratch)
+	cs := m.getCanonScratch()
 	cv := m.buildCanonView(s, cs)
 	for p := range n.Devices {
 		src := s.Devices[cv.order[p]]
@@ -436,7 +438,7 @@ func (m *Model) Canonicalize(s *State) *State {
 	n.Queue = append(n.Queue[:0], cv.queue...)
 	n.Cmds = append(n.Cmds[:0], cv.cmds...)
 	n.InFlight = append(n.InFlight[:0], cv.inFlight...)
-	m.sym.scratch.Put(cs)
+	canonScratchPool.Put(cs)
 	// The in-place rewrite above invalidates every block hash n
 	// inherited from s's cache.
 	n.MarkAllDirty()

@@ -1,7 +1,6 @@
 package props
 
 import (
-	"iotsan/internal/config"
 	"iotsan/internal/device"
 	"iotsan/internal/model"
 )
@@ -153,7 +152,7 @@ func shared(slot int, f func(*model.View) bool) func(*model.View) bool {
 }
 
 // commonAtoms are shared across the catalog.
-func commonAtoms(sys *config.System, th Thresholds) atomMap {
+func commonAtoms(th Thresholds) atomMap {
 	if numSlots > model.ViewMemoSlots {
 		panic("props: atom catalog outgrew model.ViewMemoSlots")
 	}
@@ -233,7 +232,6 @@ func phys(id, category, desc, formula string, roles, caps []string) Property {
 	return Property{
 		ID: id, Category: category, Description: desc, Kind: Physical,
 		LTL: formula, Roles: roles, Capabilities: caps,
-		atoms: commonAtoms,
 	}
 }
 

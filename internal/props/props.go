@@ -15,6 +15,8 @@ package props
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"iotsan/internal/config"
 	"iotsan/internal/ltl"
@@ -62,8 +64,6 @@ type Property struct {
 	// only when every requirement is satisfiable in the system.
 	Roles        []string
 	Capabilities []string
-	// atoms binds the LTL atom names to state predicates.
-	atoms func(sys *config.System, th Thresholds) map[string]func(v *model.View) bool
 }
 
 // Association roles the catalog binds to (users assign these in the
@@ -87,11 +87,14 @@ const (
 	RoleNightLight    = "night light"
 )
 
-// Catalog returns all 45 properties.
-func Catalog() []Property {
-	all := make([]Property, 0, 45)
-	all = append(all, physicalCatalog()...)
-	all = append(all,
+// Catalog returns all 45 properties. The slice is the caller's; the
+// entries' Roles and Capabilities are shared and must not be modified.
+func Catalog() []Property { return slices.Clone(catalog()) }
+
+// catalog is the process-wide catalog, built once: the 38 physical
+// properties first, then the event properties.
+var catalog = sync.OnceValue(func() []Property {
+	return append(physicalCatalog(),
 		Property{ID: model.PropConflicting, Category: "Commands", Kind: Event,
 			Description: "When a single external event happens, an actuator should not receive two conflicting commands"},
 		Property{ID: model.PropRepeated, Category: "Commands", Kind: Event,
@@ -107,13 +110,12 @@ func Catalog() []Property {
 		Property{ID: model.PropRobustness, Category: "Robustness", Kind: Event,
 			Description: "An app should verify that actuator commands were acted upon and notify the user when one is lost — to a transient failure or to a persistent device outage that silently drops it"},
 	)
-	return all
-}
+})
 
 // IDs returns the catalog property ids.
 func IDs() []string {
-	var out []string
-	for _, p := range Catalog() {
+	out := make([]string, 0, len(catalog()))
+	for _, p := range catalog() {
 		out = append(out, p.ID)
 	}
 	return out
@@ -121,7 +123,7 @@ func IDs() []string {
 
 // ByID returns a catalog property.
 func ByID(id string) (Property, bool) {
-	for _, p := range Catalog() {
+	for _, p := range catalog() {
 		if p.ID == id {
 			return p, true
 		}
@@ -157,60 +159,57 @@ func systemHasCapability(sys *config.System, capName string) bool {
 	return false
 }
 
-// Compile builds the model invariant for a physical property.
-func (p *Property) Compile(sys *config.System, th Thresholds) (model.Invariant, error) {
-	if p.Kind != Physical {
-		return model.Invariant{}, fmt.Errorf("props: %s is not a physical property", p.ID)
-	}
-	f, err := ltl.Parse(p.LTL)
-	if err != nil {
-		return model.Invariant{}, fmt.Errorf("props: %s: %w", p.ID, err)
-	}
-	mon, err := ltl.CompileSafety(f)
-	if err != nil {
-		return model.Invariant{}, fmt.Errorf("props: %s: %w", p.ID, err)
-	}
-	if mon.Kind != ltl.Invariant {
-		return model.Invariant{}, fmt.Errorf("props: %s: only invariant monitors can run under DFS", p.ID)
-	}
-	atoms := p.atoms(sys, th)
-	// Bind the invariant's propositional body straight to the atom
-	// evaluators: stepping it per state is then closed closure calls
-	// with no per-evaluation environment closure or atom map lookups.
-	bound, err := ltl.Bind(f.L, func(name string) func(*model.View) bool { return atoms[name] })
-	if err != nil {
-		return model.Invariant{}, fmt.Errorf("props: %s: %w", p.ID, err)
-	}
-	return model.Invariant{
-		ID:          p.ID,
-		Description: p.Description,
-		Holds:       bound,
-	}, nil
-}
-
-// CompileInvariants compiles every applicable physical property (or the
-// selected subset when ids is non-nil) against a system.
-func CompileInvariants(sys *config.System, ids []string, th Thresholds) ([]model.Invariant, error) {
-	want := map[string]bool{}
-	for _, id := range ids {
-		want[id] = true
-	}
-	var out []model.Invariant
-	for _, p := range Catalog() {
+// physicalBodies parses and safety-checks every physical formula once
+// per process. bodies[i] is the propositional body of catalog()[i] (nil
+// for event properties).
+var physicalBodies = sync.OnceValues(func() ([]*ltl.Formula, error) {
+	bodies := make([]*ltl.Formula, len(catalog()))
+	for i, p := range catalog() {
 		if p.Kind != Physical {
 			continue
 		}
-		if ids != nil && !want[p.ID] {
-			continue
-		}
-		if !p.Applicable(sys) {
-			continue
-		}
-		inv, err := p.Compile(sys, th)
+		f, err := ltl.Parse(p.LTL)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("props: %s: %w", p.ID, err)
 		}
-		out = append(out, inv)
+		mon, err := ltl.CompileSafety(f)
+		if err != nil {
+			return nil, fmt.Errorf("props: %s: %w", p.ID, err)
+		}
+		if mon.Kind != ltl.Invariant {
+			return nil, fmt.Errorf("props: %s: only invariant monitors can run under DFS", p.ID)
+		}
+		bodies[i] = f.L
+	}
+	return bodies, nil
+})
+
+// CompileInvariants compiles every applicable physical property (or the
+// selected subset when ids is non-nil) against a system. The returned
+// invariants are pure closures (their per-state memo lives in the
+// model.View), so models verified concurrently may share them.
+func CompileInvariants(sys *config.System, ids []string, th Thresholds) ([]model.Invariant, error) {
+	bodies, err := physicalBodies()
+	if err != nil {
+		return nil, err
+	}
+	var atoms atomMap
+	var out []model.Invariant
+	for i, p := range catalog() {
+		if p.Kind != Physical || ids != nil && !slices.Contains(ids, p.ID) || !p.Applicable(sys) {
+			continue
+		}
+		if atoms == nil {
+			atoms = commonAtoms(th)
+		}
+		// Bind the invariant's propositional body straight to the atom
+		// evaluators: stepping it per state is then closed closure calls
+		// with no per-evaluation environment closure or atom map lookups.
+		holds, err := ltl.Bind(bodies[i], func(name string) func(*model.View) bool { return atoms[name] })
+		if err != nil {
+			return nil, fmt.Errorf("props: %s: %w", p.ID, err)
+		}
+		out = append(out, model.Invariant{ID: p.ID, Description: p.Description, Holds: holds})
 	}
 	return out, nil
 }

@@ -19,9 +19,12 @@ package iotsan
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -29,6 +32,7 @@ import (
 	"iotsan/internal/checker"
 	"iotsan/internal/config"
 	"iotsan/internal/depgraph"
+	"iotsan/internal/device"
 	"iotsan/internal/ir"
 	"iotsan/internal/model"
 	"iotsan/internal/props"
@@ -318,11 +322,29 @@ func analyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Rep
 	rep.Scale = depgraph.Scale(handlers)
 
 	groups := relatedAppGroups(sys, handlers, handlerApp, opts.NoDepGraph)
-	if err := runGroups(rep, sys, apps, groups, opts); err != nil {
+	// subSystem keeps every device and property applicability reads
+	// only devices, so one compile serves every related set. The
+	// invariants are pure closures (their per-state memo lives in
+	// model.View), so concurrently verified groups share them.
+	invs, err := props.CompileInvariants(sys, opts.Properties, opts.Thresholds)
+	if err != nil {
+		return nil, err
+	}
+	setup := &callSetup{invs: invs, sel: propertySelection(opts.Properties),
+		attrs: groupAttrs(sys, groups, handlers, handlerApp)}
+	if err := runGroups(rep, sys, apps, groups, setup, opts); err != nil {
 		return nil, err
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
+}
+
+// callSetup is the per-call work every related set shares, computed
+// once per Analyze call; attrs[i] is group i's RelevantAttrs.
+type callSetup struct {
+	invs  []model.Invariant
+	sel   map[string]bool
+	attrs []map[string]bool
 }
 
 // runGroups is the group scheduler: it verifies every related set and
@@ -334,9 +356,9 @@ func analyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Rep
 // can spare, so workers freed by finished groups are absorbed by
 // groups still running. A shared stop flag cancels sibling searches as
 // soon as the global MaxViolations cap is reached (or a group fails).
-func runGroups(rep *Report, sys *System, apps map[string]*ir.App, groups [][]string, opts Options) error {
+func runGroups(rep *Report, sys *System, apps map[string]*ir.App, groups [][]string, setup *callSetup, opts Options) error {
 	stop := new(atomic.Bool)
-	seen := map[string]bool{}
+	seen := map[violationKey]bool{}
 
 	if !opts.GroupParallel || len(groups) <= 1 {
 		for i, groupApps := range groups {
@@ -344,7 +366,7 @@ func runGroups(rep *Report, sys *System, apps map[string]*ir.App, groups [][]str
 			// verifications return immediately (truncated at the initial
 			// state) but still produce a GroupResult, so Report.Groups
 			// always covers every related set in order.
-			gr, err := verifyGroup(subSystem(sys, groupApps), apps, opts, i, stop, nil)
+			gr, err := verifyGroup(subSystem(sys, groupApps), apps, setup, opts, i, stop, nil)
 			if err != nil {
 				return err
 			}
@@ -368,7 +390,7 @@ func runGroups(rep *Report, sys *System, apps map[string]*ir.App, groups [][]str
 			// A group admitted after the stop flag is set still runs —
 			// its search stops at the initial state — so Report.Groups
 			// carries one entry per related set in both scheduler modes.
-			results[i], errs[i] = verifyGroup(subSystem(sys, groupApps), apps, opts, i, stop, budget)
+			results[i], errs[i] = verifyGroup(subSystem(sys, groupApps), apps, setup, opts, i, stop, budget)
 		}(i, groupApps)
 	}
 
@@ -389,11 +411,14 @@ func runGroups(rep *Report, sys *System, apps map[string]*ir.App, groups [][]str
 	return firstErr
 }
 
+// violationKey identifies a distinct violation in the report.
+type violationKey struct{ Property, Detail string }
+
 // commitGroup appends one group's result to the report and folds its
 // violations into the deduped global list, enforcing the MaxViolations
 // cap: once the cap is reached the stop flag cancels every search
 // still running.
-func commitGroup(rep *Report, gr *GroupResult, opts Options, seen map[string]bool, stop *atomic.Bool) {
+func commitGroup(rep *Report, gr *GroupResult, opts Options, seen map[violationKey]bool, stop *atomic.Bool) {
 	rep.Groups = append(rep.Groups, *gr)
 	for _, f := range gr.Result.Violations {
 		if f.Property == model.PropExecError {
@@ -402,7 +427,7 @@ func commitGroup(rep *Report, gr *GroupResult, opts Options, seen map[string]boo
 		if opts.MaxViolations > 0 && len(rep.Violations) >= opts.MaxViolations {
 			break
 		}
-		key := f.Property + "\x00" + f.Detail
+		key := violationKey{f.Property, f.Detail}
 		if !seen[key] {
 			seen[key] = true
 			rep.Violations = append(rep.Violations, f)
@@ -435,7 +460,10 @@ func relatedAppGroups(sys *System, handlers []smartapp.HandlerInfo, handlerApp [
 			names = append(names, handlerApp[i])
 		}
 		names = dedupe(names)
-		k := fmt.Sprint(names)
+		// App names may contain spaces, so the key needs a separator no
+		// name can hold: fmt.Sprint would make ["A B"] and ["A", "B"]
+		// collide and silently drop a related set.
+		k := strings.Join(names, "\x00")
 		if !seenGroups[k] && len(names) > 0 {
 			seenGroups[k] = true
 			groups = append(groups, names)
@@ -445,31 +473,20 @@ func relatedAppGroups(sys *System, handlers []smartapp.HandlerInfo, handlerApp [
 }
 
 func dedupe(in []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
+	out := slices.Clone(in)
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // subSystem restricts a configuration to the given apps, keeping every
 // device (associations drive property compilation).
 func subSystem(sys *System, appNames []string) *System {
-	want := map[string]bool{}
-	for _, n := range appNames {
-		want[n] = true
-	}
 	sub := &System{
 		Name: sys.Name, Modes: sys.Modes, Mode: sys.Mode,
 		Devices: sys.Devices, Phones: sys.Phones,
 	}
 	for _, inst := range sys.Apps {
-		if want[inst.App] {
+		if slices.Contains(appNames, inst.App) {
 			sub.Apps = append(sub.Apps, inst)
 		}
 	}
@@ -480,13 +497,8 @@ func subSystem(sys *System, appNames []string) *System {
 // deterministic group order; it keys the group's private tiered-store
 // subdirectory, which is what makes a -resume run find the WAL the
 // killed run wrote for the same group.
-func verifyGroup(sub *System, apps map[string]*ir.App, opts Options, gidx int, stop *atomic.Bool, budget *checker.WorkerBudget) (*GroupResult, error) {
-	invs, err := props.CompileInvariants(sub, filterPhysical(opts.Properties), opts.Thresholds)
-	if err != nil {
-		return nil, err
-	}
-	sel := propertySelection(opts.Properties)
-
+func verifyGroup(sub *System, apps map[string]*ir.App, setup *callSetup, opts Options, gidx int, stop *atomic.Bool, budget *checker.WorkerBudget) (*GroupResult, error) {
+	sel := setup.sel
 	m, err := model.New(sub, apps, model.Options{
 		Design:          opts.Design,
 		MaxEvents:       opts.MaxEvents,
@@ -496,8 +508,8 @@ func verifyGroup(sub *System, apps map[string]*ir.App, opts Options, gidx int, s
 		CheckConflicts:  sel[model.PropConflicting] || sel[model.PropRepeated],
 		CheckLeakage:    sel[model.PropLeakNetwork],
 		CheckRobustness: (opts.Failures || opts.Faults) && sel[model.PropRobustness],
-		Invariants:      invs,
-		RelevantAttrs:   relevantAttrs(sub, apps),
+		Invariants:      setup.invs,
+		RelevantAttrs:   setup.attrs[gidx],
 		Interpreter:     opts.Interpreter,
 		Symmetry:        opts.Symmetry,
 		Incremental:     !opts.NoIncremental,
@@ -559,78 +571,54 @@ func verifyGroup(sub *System, apps map[string]*ir.App, opts Options, gidx int, s
 		names = append(names, inst.App)
 		handlers += len(apps[inst.App].HandlerNames())
 	}
-	return &GroupResult{Apps: names, Handlers: handlers, Result: res, InvariantCount: len(invs)}, nil
+	return &GroupResult{Apps: names, Handlers: handlers, Result: res, InvariantCount: len(setup.invs)}, nil
 }
 
 // propertySelection returns a predicate set over property ids; a nil
 // selection enables everything.
 func propertySelection(ids []string) map[string]bool {
-	sel := map[string]bool{}
 	if ids == nil {
-		for _, id := range props.IDs() {
-			sel[id] = true
-		}
-		return sel
+		ids = props.IDs()
 	}
+	sel := map[string]bool{}
 	for _, id := range ids {
 		sel[id] = true
 	}
 	return sel
 }
 
-func filterPhysical(ids []string) []string {
-	if ids == nil {
-		return nil
-	}
-	var out []string
-	for _, id := range ids {
-		if p, ok := props.ByID(id); ok && p.Kind == props.Physical {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// relevantAttrs computes the sensor attributes worth generating events
-// for: those the installed apps subscribe to or read, plus those the
-// applicable properties observe.
-func relevantAttrs(sys *System, apps map[string]*ir.App) map[string]bool {
-	attrs := map[string]bool{}
-	for _, inst := range sys.Apps {
-		app := apps[inst.App]
-		if app == nil {
-			continue
-		}
-		for _, hi := range smartapp.AnalyzeHandlers(app) {
-			for _, in := range hi.Inputs {
-				attrs[in.Attr] = true
-			}
-		}
-	}
-	// Properties observe presence/smoke/co/water/motion/etc.; include
-	// the sensed attributes of the devices that applicable properties
-	// reference, so missing-response violations remain reachable.
+// groupAttrs computes each related set's sensor attributes worth
+// generating events for: those its apps subscribe to or read (from the
+// depgraph pass's handler summaries), plus the sensed attributes of the
+// devices the applicable physical properties reference, so
+// missing-response violations remain reachable.
+func groupAttrs(sys *System, groups [][]string, handlers []smartapp.HandlerInfo, handlerApp []string) []map[string]bool {
+	// anyone_home guards most properties: presence must vary if present.
+	common := map[string]bool{"presence": true}
 	for _, p := range props.Catalog() {
 		if p.Kind != props.Physical || !p.Applicable(sys) {
 			continue
 		}
 		for _, capName := range p.Capabilities {
-			addSensedAttrs(attrs, capName)
+			if c := device.CapabilityByName(capName); c != nil && c.Sensor {
+				for _, a := range c.Attributes {
+					common[a.Name] = true
+				}
+			}
 		}
 	}
-	// anyone_home guards most properties: presence must vary if present.
-	attrs["presence"] = true
-	return attrs
-}
-
-func addSensedAttrs(attrs map[string]bool, capName string) {
-	c := deviceCap(capName)
-	if c == nil || !c.Sensor {
-		return
+	out := make([]map[string]bool, len(groups))
+	for gi, names := range groups {
+		out[gi] = maps.Clone(common)
+		for i, hi := range handlers {
+			if slices.Contains(names, handlerApp[i]) {
+				for _, in := range hi.Inputs {
+					out[gi][in.Attr] = true
+				}
+			}
+		}
 	}
-	for _, a := range c.Attributes {
-		attrs[a.Name] = true
-	}
+	return out
 }
 
 // Attribute runs the Output Analyzer for a newly installed app (§9).
